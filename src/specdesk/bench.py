@@ -9,16 +9,17 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ._version import __version__
-from .core import BENCH_STREAM, SamplerConfig, derive_seed, encode
+from .core import BENCH_STREAM, SamplerConfig, derive_seed, encode, write_lines
 from .lm import Corpus, NGramModel, finetune, generate, truncate_corpus
 from .specdec import DecodeStats, SpecConfig, VocabularyMismatchError, decode_speculative
 
@@ -37,8 +38,8 @@ class CostModel:
     c: float = 0.1
 
     def __post_init__(self):
-        if self.c < 0:
-            raise ValueError("cost ratio must be >= 0")
+        if not 0.0 <= self.c < math.inf:
+            raise ValueError(f"cost ratio must be finite and >= 0, got {self.c!r}")
 
 
 def mean_accepted(stats: DecodeStats) -> float:
@@ -199,18 +200,22 @@ class GridResult:
         return ReportTable(GRID_COLUMNS, rows, {"K": str(self.draft_len)})
 
 
+def _bench_prompts(corpus: Corpus, vocab, seed: int, max_prompts: Optional[int]):
+    """(encoded prompt, per-prompt seed) for each benchmark prompt in corpus order;
+    prompt i is decoded with derive_seed(seed, BENCH_STREAM, i)."""
+    records = corpus.records[:max_prompts] if max_prompts else corpus.records
+    for pi, (prompt_text, _) in enumerate(records):
+        yield encode(prompt_text, vocab), derive_seed(seed, BENCH_STREAM, pi)
+
+
 def _decode_corpus(target: NGramModel, drafter: NGramModel, corpus: Corpus,
                    draft_len: int, temperature: float, max_new_tokens: int,
                    seed: int, max_prompts: Optional[int]) -> DecodeStats:
-    vocab = target.vocab
     runs = []
-    records = corpus.records[:max_prompts] if max_prompts else corpus.records
-    for pi, (prompt_text, _) in enumerate(records):
+    for ids, prompt_seed in _bench_prompts(corpus, target.vocab, seed, max_prompts):
         cfg = SpecConfig(draft_len=draft_len, temperature=temperature,
-                         max_new_tokens=max_new_tokens,
-                         seed=derive_seed(seed, BENCH_STREAM, pi))
-        _, stats = decode_speculative(target, drafter, encode(prompt_text, vocab), cfg)
-        runs.append(stats)
+                         max_new_tokens=max_new_tokens, seed=prompt_seed)
+        runs.append(decode_speculative(target, drafter, ids, cfg)[1])
     return merge_stats(runs)
 
 
@@ -243,50 +248,44 @@ def run_grid(target: NGramModel, grid: ExperimentGrid, *,
     are independent; jobs > 1 fans them out over worker processes without
     changing any result."""
     cm = cost if cost is not None else CostModel()
-    keys = [(dn, cn, t, s)
-            for dn in grid.drafters
-            for cn in grid.corpora
-            for t in grid.temperatures
-            for s in grid.seeds]
+    groups = [(dn, cn, t)
+              for dn in grid.drafters
+              for cn in grid.corpora
+              for t in grid.temperatures]
     payloads = [(target, grid.drafters[dn], dn, grid.corpora[cn], grid.draft_len,
                  t, max_new_tokens, s, max_prompts, cm)
-                for dn, cn, t, s in keys]
+                for dn, cn, t in groups for s in grid.seeds]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_eval_cell, payloads))
     else:
         outcomes = [_eval_cell(p) for p in payloads]
+    results = iter(outcomes)  # one per (group, seed), in payload order
 
-    by_key = dict(zip(keys, outcomes))
     cells: list[GridCell] = []
     errors: list[GridCellError] = []
     rows: list[GridRow] = []
-    for drafter_name in grid.drafters:
-        for corpus_name in grid.corpora:
-            for temperature in grid.temperatures:
-                per_seed: list[GridCell] = []
-                for seed in grid.seeds:
-                    status, result = by_key[(drafter_name, corpus_name, temperature, seed)]
-                    if status == "error":
-                        errors.append(GridCellError(drafter_name, corpus_name,
-                                                    temperature, seed, result[0]))
-                        continue
-                    cell = GridCell(drafter_name, corpus_name, temperature, seed, *result)
-                    per_seed.append(cell)
-                    cells.append(cell)
-                if not per_seed:
-                    continue
-                acc_mean, acc_std = _mean_std([c.mean_accepted for c in per_seed])
-                spd_mean, spd_std = _mean_std([c.cost_speedup for c in per_seed])
-                rows.append(GridRow(
-                    drafter=drafter_name, corpus=corpus_name, temperature=temperature,
-                    draft_len=grid.draft_len, seed_count=len(per_seed),
-                    mean_accepted=acc_mean, std_accepted=acc_std,
-                    cost_speedup=spd_mean, std_speedup=spd_std,
-                    acceptance_rate=_mean_std([c.acceptance_rate for c in per_seed])[0],
-                    tokens=_mean_std([float(c.tokens) for c in per_seed])[0],
-                ))
+    for drafter_name, corpus_name, temperature in groups:
+        per_seed: list[GridCell] = []
+        for seed, (status, result) in zip(grid.seeds, results):
+            if status == "error":
+                errors.append(GridCellError(drafter_name, corpus_name, temperature, seed, result[0]))
+            else:
+                per_seed.append(GridCell(drafter_name, corpus_name, temperature, seed, *result))
+        if not per_seed:
+            continue
+        cells.extend(per_seed)
+        acc_mean, acc_std = _mean_std([c.mean_accepted for c in per_seed])
+        spd_mean, spd_std = _mean_std([c.cost_speedup for c in per_seed])
+        rows.append(GridRow(
+            drafter=drafter_name, corpus=corpus_name, temperature=temperature,
+            draft_len=grid.draft_len, seed_count=len(per_seed),
+            mean_accepted=acc_mean, std_accepted=acc_std,
+            cost_speedup=spd_mean, std_speedup=spd_std,
+            acceptance_rate=_mean_std([c.acceptance_rate for c in per_seed])[0],
+            tokens=_mean_std([float(c.tokens) for c in per_seed])[0],
+        ))
     return GridResult(tuple(rows), tuple(cells), tuple(errors), grid.draft_len)
 
 
@@ -398,23 +397,17 @@ def wallclock_speedup(target: NGramModel, drafter: NGramModel, corpus: Corpus,
     speculative decoding over identical prompts and derived seeds."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
-    vocab = target.vocab
-    records = corpus.records[:max_prompts] if max_prompts else corpus.records
-    prompts = [(pi, encode(text, vocab)) for pi, (text, _) in enumerate(records)]
+    prompts = list(_bench_prompts(corpus, target.vocab, cfg.seed, max_prompts))
     base_times = []
     spec_times = []
     for _ in range(repetitions):
         start = time.perf_counter_ns()
-        for pi, ids in prompts:
-            seed = derive_seed(cfg.seed, BENCH_STREAM, pi)
+        for ids, seed in prompts:
             generate(target, ids, SamplerConfig(cfg.temperature, seed), cfg.max_new_tokens)
         base_times.append(time.perf_counter_ns() - start)
         start = time.perf_counter_ns()
-        for pi, ids in prompts:
-            seed = derive_seed(cfg.seed, BENCH_STREAM, pi)
-            run_cfg = SpecConfig(draft_len=cfg.draft_len, temperature=cfg.temperature,
-                                 max_new_tokens=cfg.max_new_tokens, seed=seed)
-            decode_speculative(target, drafter, ids, run_cfg)
+        for ids, seed in prompts:
+            decode_speculative(target, drafter, ids, replace(cfg, seed=seed))
         spec_times.append(time.perf_counter_ns() - start)
     ratios = [b / s for b, s in zip(base_times, spec_times)]
     speedup = float(np.median(base_times) / np.median(spec_times))
@@ -448,8 +441,8 @@ def emit_report(table: ReportTable, out_dir, basename: str = "report") -> tuple[
     writer.writerow(table.columns)
     for row in table.rows:
         writer.writerow([_format_value(v) for v in row])
-    csv_path.write_text("\n".join(comments) + "\n" + buf.getvalue(),
-                        encoding="utf-8", newline="\n")
+    # The writer ends every row with '\n'; drop the empty string after the last.
+    write_lines(csv_path, comments + buf.getvalue().split("\n")[:-1])
 
     md_path = out / f"{basename}.md"
     str_rows = [[_format_value(v) for v in row] for row in table.rows]
@@ -460,5 +453,5 @@ def emit_report(table: ReportTable, out_dir, basename: str = "report") -> tuple[
     rule = "|" + "|".join("-" * (w + 2) for w in widths) + "|"
     body = ["| " + " | ".join(v.ljust(w) for v, w in zip(row, widths)) + " |" for row in str_rows]
     md_lines = comments + [header, rule] + body
-    md_path.write_text("\n".join(md_lines) + "\n", encoding="utf-8", newline="\n")
+    write_lines(md_path, md_lines)
     return csv_path, md_path

@@ -11,10 +11,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from ._version import __version__
-from .core import FormatError, build_vocab, decode_tokens, encode, load_vocab, save_vocab
+from .core import (FormatError, build_vocab, decode_tokens, encode, load_vocab, read_sections,
+                   save_vocab)
 from .lm import (
     Corpus,
     ModelVersionError,
@@ -64,28 +64,11 @@ class UsageError(Exception):
 
 
 def parse_config(path) -> dict:
-    """Line-oriented config: [section] headers, 'key = value' lines, '#'
+    """Config file: '[section]' headers over 'key = value' lines, '#'
     comments. Returns {section: {key: value}} preserving file order."""
-    text = Path(path).read_text(encoding="utf-8")
-    sections: dict[str, dict[str, str]] = {}
-    current = None
-    for ln, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = line[1:-1].strip()
-            sections.setdefault(current, {})
-            continue
-        if "=" not in line:
-            raise FormatError(f"{path}: line {ln}: expected 'key = value'")
-        if current is None:
-            raise FormatError(f"{path}: line {ln}: key outside any [section]")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in sections[current]:
-            raise FormatError(f"{path}: line {ln}: duplicate key {key!r}")
-        sections[current][key] = value.strip()
+    sections = read_sections(path)
+    if None in sections:
+        raise FormatError(f"{path}: key outside any [section]")
     return sections
 
 

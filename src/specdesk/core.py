@@ -8,6 +8,8 @@ flows through `make_rng`, which derives named Philox substreams from a single
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Union
@@ -142,7 +144,7 @@ class Distribution:
         if np.any(arr < 0):
             raise ValueError("distribution entries must be non-negative")
         total = float(arr.sum())
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:  # also rejects nan and inf
             raise ValueError(f"distribution sums to {total!r}, not 1")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
@@ -162,16 +164,20 @@ class SamplerConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        check_temperature(self.temperature)
+
+
+def check_temperature(temperature: float) -> None:
+    """Reject temperatures that are negative or not finite."""
+    if not 0.0 <= temperature < math.inf:
+        raise ValueError(f"temperature must be finite and >= 0, got {temperature!r}")
 
 
 def apply_temperature(d: Distribution, temperature: float) -> Distribution:
     """Temperature transform: T=0 is an exact argmax one-hot, T=1 the identity,
     otherwise entries are raised to 1/T and renormalized (computed in log space
     so extreme temperatures cannot underflow the whole vector)."""
-    if temperature < 0:
-        raise ValueError("temperature must be >= 0")
+    check_temperature(temperature)
     probs = d.probs
     if temperature == 0.0:
         out = np.zeros_like(probs)
@@ -212,49 +218,80 @@ def _escape_token(token: str) -> str:
     return token.replace("\\", "\\\\").replace("\n", "\\n").replace("\r", "\\r")
 
 
+_UNESCAPED = {"\\n": "\n", "\\r": "\r", "\\\\": "\\"}
+
+
 def _unescape_token(line: str) -> str:
-    out = []
-    i = 0
-    while i < len(line):
-        ch = line[i]
-        if ch == "\\" and i + 1 < len(line):
-            nxt = line[i + 1]
-            if nxt == "n":
-                out.append("\n")
-                i += 2
-                continue
-            if nxt == "r":
-                out.append("\r")
-                i += 2
-                continue
-            if nxt == "\\":
-                out.append("\\")
-                i += 2
-                continue
-        out.append(ch)
-        i += 1
-    return "".join(out)
+    return re.sub(r"\\[nr\\]", lambda m: _UNESCAPED[m.group()], line)
 
 
-def save_vocab(vocab: Vocabulary, path) -> None:
-    """Write the vocabulary file format: 3 reserved header lines, then one
-    token per line, line number - 1 = id. Newline, carriage-return and
-    backslash tokens are escaped as \\n, \\r and \\\\ (single-character tokens
-    never collide with these two-character escapes)."""
-    lines = list(RESERVED_TOKENS) + [_escape_token(t) for t in vocab.tokens[3:]]
+def read_lines(path) -> list[str]:
+    """Lines of a UTF-8 file split on '\\n' only (a '\\r' stays in its line),
+    without the empty string after a final newline."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        lines = fh.read().split("\n")
+    if lines[-1] == "":
+        lines.pop()
+    return lines
+
+
+def write_lines(path, lines: Iterable[str]) -> None:
+    """Write the lines joined by '\\n' plus a final '\\n', UTF-8, the same
+    bytes on every platform."""
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
-def load_vocab(path) -> Vocabulary:
-    with open(path, encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if len(lines) < 3 or tuple(lines[:3]) != RESERVED_TOKENS:
-        raise FormatError(f"{path}: vocabulary file must start with the reserved header lines")
-    tokens = RESERVED_TOKENS + tuple(_unescape_token(line) for line in lines[3:])
+def vocab_lines(vocab: Vocabulary) -> list[str]:
+    """The vocabulary block: the 3 reserved header lines, then one token per
+    line, line number - 1 = id. Newline, carriage-return and backslash tokens
+    are escaped as \\n, \\r and \\\\ (single-character tokens never collide
+    with these two-character escapes)."""
+    return list(RESERVED_TOKENS) + [_escape_token(t) for t in vocab.tokens[3:]]
+
+
+def parse_vocab_lines(lines: list[str]) -> Vocabulary:
+    """Inverse of vocab_lines; raises FormatError on a malformed block."""
+    if tuple(lines[:3]) != RESERVED_TOKENS:
+        raise FormatError("vocabulary block must start with the reserved header lines")
     try:
-        return Vocabulary(tokens)
+        return Vocabulary(RESERVED_TOKENS + tuple(_unescape_token(line) for line in lines[3:]))
     except ValueError as exc:
+        raise FormatError(str(exc)) from exc
+
+
+def save_vocab(vocab: Vocabulary, path) -> None:
+    """Write the vocabulary file format: the vocabulary block alone."""
+    write_lines(path, vocab_lines(vocab))
+
+
+def load_vocab(path) -> Vocabulary:
+    try:
+        return parse_vocab_lines(read_lines(path))
+    except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc
+
+
+def read_sections(path) -> dict:
+    """Parse 'key = value' lines under optional '[section]' headers, skipping
+    blanks and '#' comments, into {section: {key: value}} in file order; keys
+    before any header go under None. A key repeated in a section is an error.
+    Unlike read_lines, '\\r\\n' and a lone '\\r' also end a line here."""
+    sections: dict = {}
+    current = None
+    for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            current = line[1:-1].strip()
+            sections.setdefault(current, {})
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise FormatError(f"{path}: line {ln}: expected 'key = value'")
+        key = key.strip()
+        entries = sections.setdefault(current, {})
+        if key in entries:
+            raise FormatError(f"{path}: line {ln}: duplicate key {key!r}")
+        entries[key] = value.strip()
+    return sections

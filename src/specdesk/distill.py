@@ -11,7 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import DISTILL_STREAM, SamplerConfig, decode_tokens, derive_seed, encode
+from .core import (DISTILL_STREAM, SamplerConfig, check_temperature, decode_tokens, derive_seed,
+                   encode)
 from .lm import Corpus, NGramModel, generate
 
 LANGUAGE_NAMES = {
@@ -66,8 +67,8 @@ class DistillJob:
         object.__setattr__(self, "temperatures", tuple(self.temperatures))
         if not self.temperatures:
             raise ValueError("temperature schedule must be non-empty")
-        if any(t < 0 for t in self.temperatures):
-            raise ValueError("temperatures must be >= 0")
+        for t in self.temperatures:
+            check_temperature(t)
         if self.samples_per_temperature < 1:
             raise ValueError("samples_per_temperature must be >= 1")
         if self.max_len < 1:

@@ -8,8 +8,8 @@ and a finetuned model is bit-reproducible from its inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterator, Optional
 
 import numpy as np
@@ -18,19 +18,20 @@ from .core import (
     BOS_ID,
     EOS_ID,
     GENERATE_STREAM,
-    RESERVED_TOKENS,
     Distribution,
     FormatError,
     SamplerConfig,
     TokenSequence,
     Vocabulary,
-    _escape_token,
-    _unescape_token,
     apply_temperature,
     build_vocab,
     encode,
     make_rng,
+    parse_vocab_lines,
+    read_lines,
     sample,
+    vocab_lines,
+    write_lines,
 )
 
 MODEL_FORMAT_VERSION = 1
@@ -99,8 +100,8 @@ class NGramModel:
                  counts: Optional[dict] = None, provenance: str = "untrained"):
         if order < 1:
             raise ValueError("order must be >= 1")
-        if k <= 0:
-            raise ValueError("smoothing k must be > 0")
+        if not 0.0 < k < math.inf:
+            raise ValueError(f"smoothing k must be finite and > 0, got {k!r}")
         self.order = int(order)
         self.k = float(k)
         self.vocab = vocab
@@ -204,8 +205,8 @@ def finetune(model: NGramModel, corpus: Corpus, weight: float = 1.0) -> NGramMod
     The input model is left untouched. Unknown characters in the corpus encode
     to <unk> under the model's vocabulary.
     """
-    if weight <= 0:
-        raise ValueError("finetune weight must be > 0")
+    if not 0.0 < weight < math.inf:
+        raise ValueError(f"finetune weight must be finite and > 0, got {weight!r}")
     copied = {ctx: dict(per_tok) for ctx, per_tok in model.counts.items()}
     tag = f"{corpus.langs[0]}-{corpus.langs[1]}" if corpus.langs else "untagged"
     tuned = NGramModel(model.order, model.k, model.vocab, copied,
@@ -247,8 +248,7 @@ def save_model(model: NGramModel, path) -> None:
         f"provenance={model.provenance}",
         f"vocab={model.vocab.size}",
     ]
-    lines.extend(RESERVED_TOKENS)
-    lines.extend(_escape_token(t) for t in model.vocab.tokens[3:])
+    lines.extend(vocab_lines(model.vocab))
     entries = []
     for ctx, per_tok in model.counts.items():
         for tok, count in per_tok.items():
@@ -258,88 +258,81 @@ def save_model(model: NGramModel, path) -> None:
     for entry in entries:
         ids = " ".join(str(i) for i in entry[:-1])
         lines.append(f"{ids} {entry[-1]!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_lines(path, lines)
 
 
-def _expect_header(lines: list[str], idx: int, key: str, path) -> str:
-    if idx >= len(lines) or not lines[idx].startswith(key + "="):
-        raise ModelFormatError(f"{path}: expected '{key}=' on line {idx + 1}")
-    return lines[idx][len(key) + 1:]
+# The header lines after 'version=', in file order, with each value's parser.
+_MODEL_HEADER = (("order", int), ("k", float), ("provenance", str), ("vocab", int))
+
+
+def _header_value(lines: list[str], ln: int, key: str, parse):
+    name, sep, raw = lines[ln].partition("=") if ln < len(lines) else ("", "", "")
+    if name != key or not sep:
+        raise ModelFormatError(f"expected '{key}=' on line {ln + 1}")
+    try:
+        return parse(raw)
+    except ValueError:
+        raise ModelFormatError(f"line {ln + 1}: unparsable {key} {raw!r}") from None
+
+
+def _parse_model(lines: list[str]) -> NGramModel:
+    # The version comes first, so a future format is reported as such even
+    # when the rest of its header differs.
+    version = _header_value(lines, 0, "version", int)
+    if version != MODEL_FORMAT_VERSION:
+        raise ModelVersionError(
+            f"format version {version} unsupported (expected {MODEL_FORMAT_VERSION})")
+    order, k, provenance, vocab_size = (
+        _header_value(lines, ln, key, parse)
+        for ln, (key, parse) in enumerate(_MODEL_HEADER, start=1))
+    vocab_end = 5 + vocab_size
+    if not 5 <= vocab_end <= len(lines):
+        raise ModelFormatError("truncated vocabulary block")
+    vocab = parse_vocab_lines(lines[5:vocab_end])
+    n_counts = _header_value(lines, vocab_end, "counts", int)
+    counts_start = vocab_end + 1
+    if counts_start + n_counts != len(lines):
+        raise ModelFormatError(
+            f"counts={n_counts} but {len(lines) - counts_start} count lines follow")
+    counts: dict[tuple[int, ...], dict[int, float]] = {}
+    previous: tuple[int, ...] = ()
+    for ln in range(counts_start, len(lines)):
+        parts = lines[ln].split(" ")
+        if len(parts) != order + 1:
+            raise ModelFormatError(f"line {ln + 1}: expected {order + 1} fields")
+        try:
+            key = tuple(map(int, parts[:-1]))
+            count = float(parts[-1])
+        except ValueError:
+            raise ModelFormatError(f"line {ln + 1}: unparsable count entry") from None
+        if not all(0 <= i < vocab_size for i in key):
+            raise ModelFormatError(f"line {ln + 1}: token id out of range")
+        if not 0.0 <= count < math.inf:
+            raise ModelFormatError(f"line {ln + 1}: count must be finite and >= 0")
+        # save_model writes strictly increasing (ctx..., tok) keys, so this
+        # one comparison rejects both repeated and misordered lines.
+        if key <= previous:
+            raise ModelFormatError(f"line {ln + 1}: count lines must be strictly increasing")
+        previous = key
+        counts.setdefault(key[:-1], {})[key[-1]] = count
+    return NGramModel(order, k, vocab, counts, provenance)
 
 
 def load_model(path) -> NGramModel:
-    with open(path, encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    version_raw = _expect_header(lines, 0, "version", path)
+    """Read a save_model file. An unsupported version raises ModelVersionError;
+    any other defect, including an invalid order or k, ModelFormatError."""
     try:
-        version = int(version_raw)
-    except ValueError:
-        raise ModelFormatError(f"{path}: unparsable version {version_raw!r}") from None
-    if version != MODEL_FORMAT_VERSION:
-        raise ModelVersionError(
-            f"{path}: format version {version} unsupported (expected {MODEL_FORMAT_VERSION})")
-    try:
-        order = int(_expect_header(lines, 1, "order", path))
-        k = float(_expect_header(lines, 2, "k", path))
-    except ValueError:
-        raise ModelFormatError(f"{path}: unparsable order or k header") from None
-    provenance = _expect_header(lines, 3, "provenance", path)
-    try:
-        vocab_size = int(_expect_header(lines, 4, "vocab", path))
-    except ValueError:
-        raise ModelFormatError(f"{path}: unparsable vocab size") from None
-    vocab_end = 5 + vocab_size
-    if vocab_end > len(lines):
-        raise ModelFormatError(f"{path}: truncated vocabulary block")
-    vocab_lines = lines[5:vocab_end]
-    if tuple(vocab_lines[:3]) != RESERVED_TOKENS:
-        raise ModelFormatError(f"{path}: vocabulary block missing reserved header")
-    try:
-        vocab = Vocabulary(RESERVED_TOKENS + tuple(_unescape_token(t) for t in vocab_lines[3:]))
+        return _parse_model(read_lines(path))
+    except ModelVersionError as exc:
+        raise ModelVersionError(f"{path}: {exc}") from None
     except ValueError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from exc
-    try:
-        n_counts = int(_expect_header(lines, vocab_end, "counts", path))
-    except ValueError:
-        raise ModelFormatError(f"{path}: unparsable counts size") from None
-    counts_start = vocab_end + 1
-    if counts_start + n_counts > len(lines):
-        raise ModelFormatError(f"{path}: truncated counts block")
-    counts: dict[tuple[int, ...], dict[int, float]] = {}
-    for ln in range(counts_start, counts_start + n_counts):
-        parts = lines[ln].split(" ")
-        if len(parts) != order + 1:
-            raise ModelFormatError(f"{path}: line {ln + 1}: expected {order + 1} fields")
-        try:
-            ids = [int(p) for p in parts[:-1]]
-            count = float(parts[-1])
-        except ValueError:
-            raise ModelFormatError(f"{path}: line {ln + 1}: unparsable count entry") from None
-        if any(not 0 <= i < vocab_size for i in ids):
-            raise ModelFormatError(f"{path}: line {ln + 1}: token id out of range")
-        if count < 0:
-            raise ModelFormatError(f"{path}: line {ln + 1}: negative count")
-        ctx, tok = tuple(ids[:-1]), ids[-1]
-        counts.setdefault(ctx, {})[tok] = count
-    if counts_start + n_counts != len(lines):
-        raise ModelFormatError(f"{path}: trailing garbage after counts block")
-    try:
-        return NGramModel(order, k, vocab, counts, provenance)
-    except ValueError as exc:
-        raise ModelFormatError(f"{path}: {exc}") from exc
+        raise ModelFormatError(f"{path}: {exc}") from None
 
 
 def load_corpus(path) -> Corpus:
     """Read the corpus TSV: leading '#key=value' header lines, then one record
     per line as 'source<TAB>target'."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        text = fh.read()
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
+    lines = read_lines(path)
     langs = None
     meta: dict[str, str] = {}
     records = []
@@ -379,7 +372,7 @@ def save_corpus(corpus: Corpus, path) -> None:
         if any(c in prompt or c in completion for c in "\t\n\r"):
             raise ValueError(f"record {i} contains a tab or newline; not representable in TSV")
         lines.append(f"{prompt}\t{completion}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_lines(path, lines)
 
 
 def truncate_corpus(corpus: Corpus, max_tokens: int) -> Corpus:

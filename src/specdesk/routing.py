@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
-from .core import FormatError
+from .core import FormatError, read_sections
 
 _DE_MARKERS = set("äöüßÄÖÜ")
 _FR_MARKERS = set("éèçàÉÈÇÀ")
@@ -59,29 +59,21 @@ class DrafterRegistry:
 
 def load_registry(path) -> DrafterRegistry:
     """Parse the registry file: 'tag = model-path' lines plus the reserved keys
-    'default' (fallback tag) and 'hint.<lang>' (extra marker characters).
-    Every referenced model path must exist."""
-    text = Path(path).read_text(encoding="utf-8")
+    'default' (fallback tag) and 'hint.<lang>' (extra marker characters), with
+    no [section] headers. Every referenced model path must exist."""
+    sections = read_sections(path)
+    if any(name is not None for name in sections):
+        raise FormatError(f"{path}: a registry has no [section] headers")
     entries: dict[str, str] = {}
     default_tag = None
     hints: dict[str, str] = {}
     base = Path(path).parent
-    for ln, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise FormatError(f"{path}: line {ln}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
+    for key, value in sections.get(None, {}).items():
         if key == "default":
             default_tag = value
         elif key.startswith("hint."):
             hints[key[5:]] = value
         else:
-            if key in entries:
-                raise FormatError(f"{path}: line {ln}: duplicate tag {key!r}")
             model_path = Path(value)
             if not model_path.is_absolute():
                 model_path = base / model_path

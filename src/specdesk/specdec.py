@@ -25,6 +25,7 @@ from .core import (
     TokenSequence,
     apply_temperature,
     argmax,
+    check_temperature,
     make_rng,
     sample,
 )
@@ -47,8 +48,7 @@ class SpecConfig:
     def __post_init__(self):
         if self.draft_len < 1:
             raise ValueError("draft_len must be >= 1")
-        if self.temperature < 0:
-            raise ValueError("temperature must be >= 0")
+        check_temperature(self.temperature)
         if self.max_new_tokens < 1:
             raise ValueError("max_new_tokens must be >= 1")
 

@@ -76,6 +76,11 @@ class TestCostSpeedup:
         with pytest.raises(ValueError):
             CostModel(-0.1)
 
+    def test_non_finite_cost_rejected(self):
+        for c in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                CostModel(c)
+
 
 class TestMergeStats:
     def test_pools_counters(self):

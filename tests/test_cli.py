@@ -181,6 +181,20 @@ class TestExitCodes:
                        "target_de.model", "--prompt", "x", "--T", "-1", cwd=ws)
         assert proc.returncode == 6
 
+    def test_non_finite_decode_temperature_is_6(self, ws):
+        for t in ("nan", "inf"):
+            proc = run_cli("decode", "--target", "target_de.model", "--drafter",
+                           "target_de.model", "--prompt", "x", "--T", t, "--stats", cwd=ws)
+            assert proc.returncode == 6
+            assert proc.stdout == ""
+
+    def test_bad_config_is_4(self, ws):
+        for text in ("[decode]\nK = 3\nK = 4\n", "K = 3\n[decode]\n"):
+            (ws / "bad.cfg").write_text(text, encoding="utf-8")
+            proc = run_cli("decode", "--config", "bad.cfg", "--target", "target_de.model",
+                           "--drafter", "target_de.model", "--prompt", "x", cwd=ws)
+            assert proc.returncode == 4
+
 
 class TestDistillCommand:
     def test_writes_corpus_with_meta(self, ws):
@@ -199,6 +213,13 @@ class TestDistillCommand:
             proc = run_cli(*args, "--out", out, cwd=ws)
             assert proc.returncode == 0, proc.stderr
         assert (ws / "d1.tsv").read_bytes() == (ws / "d2.tsv").read_bytes()
+
+    def test_non_finite_temperature_is_6_and_writes_nothing(self, ws):
+        proc = run_cli("distill", "--target", "target_de.model", "--prompts", "eval_de.tsv",
+                       "--temps", "0.0,nan", "--out", "nan.tsv", cwd=ws)
+        assert proc.returncode == 6
+        assert proc.stdout == ""
+        assert not (ws / "nan.tsv").exists()
 
 
 class TestBenchCommands:

@@ -21,7 +21,8 @@ from specdesk import (
     sample,
     save_vocab,
 )
-from specdesk.core import ACCEPT_STREAM, DRAFT_STREAM, RESERVED_TOKENS
+from specdesk.core import (ACCEPT_STREAM, DRAFT_STREAM, RESERVED_TOKENS, read_lines, read_sections,
+                           write_lines)
 
 
 class FixedUniforms:
@@ -149,6 +150,11 @@ class TestDistribution:
         with pytest.raises(ValueError):
             Distribution(np.array([0.0, 0.0]))
 
+    def test_rejects_nan_and_inf(self):
+        for probs in ([np.nan, np.nan], [np.inf, 0.0], [0.5, np.nan]):
+            with pytest.raises(ValueError):
+                Distribution(np.array(probs))
+
     def test_probs_read_only(self):
         d = Distribution(np.array([0.5, 0.5]))
         with pytest.raises(ValueError):
@@ -183,6 +189,11 @@ class TestApplyTemperature:
     def test_negative_temperature_rejected(self):
         with pytest.raises(ValueError):
             apply_temperature(Distribution(np.array([1.0])), -0.1)
+
+    def test_non_finite_temperature_rejected(self):
+        for t in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                apply_temperature(Distribution(np.array([0.8, 0.2])), t)
 
     def test_extreme_temperature_stays_finite(self):
         d = Distribution(np.array([0.9, 0.1 - 1e-12, 1e-12]))
@@ -281,6 +292,47 @@ class TestSamplerConfig:
         with pytest.raises(ValueError):
             SamplerConfig(temperature=-1.0)
 
+    def test_rejects_non_finite_temperature(self):
+        for t in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SamplerConfig(temperature=t)
+
     def test_defaults(self):
         cfg = SamplerConfig()
         assert cfg.temperature == 1.0 and cfg.seed == 0
+
+
+class TestLineFiles:
+    def test_round_trip_keeps_carriage_returns(self, tmp_path):
+        path = tmp_path / "f.txt"
+        write_lines(path, ["a", "b\r", "", "c"])
+        assert path.read_bytes() == b"a\nb\r\n\nc\n"
+        assert read_lines(path) == ["a", "b\r", "", "c"]
+
+    def test_missing_final_newline(self, tmp_path):
+        path = tmp_path / "f.txt"
+        path.write_bytes(b"a\nb")
+        assert read_lines(path) == ["a", "b"]
+
+
+class TestReadSections:
+    def test_sections_and_keys_keep_file_order(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("# comment\ntop = 1\n\n[b]\nz = 2\ny = x = 3\n[a]\nq=\n",
+                        encoding="utf-8")
+        sections = read_sections(path)
+        assert list(sections) == [None, "b", "a"]
+        assert list(sections["b"].items()) == [("z", "2"), ("y", "x = 3")]
+        assert sections[None] == {"top": "1"} and sections["a"] == {"q": ""}
+
+    def test_repeated_key_in_one_section_rejected(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("[a]\nk = 1\n[b]\nk = 1\n[a]\nk = 2\n", encoding="utf-8")
+        with pytest.raises(FormatError):
+            read_sections(path)
+
+    def test_line_without_equals_rejected(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("[a]\njust words\n", encoding="utf-8")
+        with pytest.raises(FormatError):
+            read_sections(path)

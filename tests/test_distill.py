@@ -119,6 +119,9 @@ class TestSelfDistill:
             DistillJob(_target(), _prompts(1), temperatures=())
         with pytest.raises(ValueError):
             DistillJob(_target(), _prompts(1), temperatures=(-1.0,))
+        for t in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                DistillJob(_target(), _prompts(1), temperatures=(0.0, t))
         with pytest.raises(ValueError):
             DistillJob(_target(), _prompts(1), samples_per_temperature=0)
         with pytest.raises(ValueError):

@@ -75,6 +75,11 @@ class TestPretrainCounting:
         with pytest.raises(ValueError):
             pretrain(AAB, order=2, k=0.0)
 
+    def test_non_finite_k_rejected(self):
+        for k in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                NGramModel(2, k, build_vocab("ab"))
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             pretrain(Corpus(()), order=2)
@@ -155,6 +160,12 @@ class TestFinetune:
     def test_nonpositive_weight_rejected(self):
         m = aab_model()
         for w in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                finetune(m, AAB, weight=w)
+
+    def test_non_finite_weight_rejected(self):
+        m = aab_model()
+        for w in (float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 finetune(m, AAB, weight=w)
 
@@ -267,6 +278,52 @@ class TestModelPersistence:
         content = path.read_text(encoding="utf-8").replace("\n0 3 1.0", "\n0 99 1.0")
         path.write_text(content, encoding="utf-8")
         with pytest.raises(ModelFormatError):
+            load_model(path)
+
+
+    def _saved_with_counts(self, tmp_path, mutate):
+        """aab_model as written by save_model, its count lines passed through
+        mutate and the counts= header updated to match."""
+        path = tmp_path / "m.model"
+        save_model(aab_model(), path)
+        lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+        start = next(i for i, line in enumerate(lines) if line.startswith("counts=")) + 1
+        body = mutate(lines[start:])
+        lines[start - 1:] = [f"counts={len(body)}"] + body
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        return path
+
+    def test_non_finite_k_is_malformed(self, tmp_path):
+        for raw in ("nan", "inf"):
+            path = tmp_path / "m.model"
+            save_model(aab_model(), path)
+            content = path.read_text(encoding="utf-8").replace("\nk=1.0\n", f"\nk={raw}\n", 1)
+            path.write_text(content, encoding="utf-8")
+            with pytest.raises(ModelFormatError):
+                load_model(path)
+
+    def test_non_finite_count_is_malformed(self, tmp_path):
+        for raw in ("nan", "inf"):
+            path = self._saved_with_counts(
+                tmp_path, lambda body: body[:1] + [body[1].rsplit(" ", 1)[0] + " " + raw] + body[2:])
+            with pytest.raises(ModelFormatError):
+                load_model(path)
+
+    def test_duplicate_count_line_is_malformed(self, tmp_path):
+        path = self._saved_with_counts(
+            tmp_path, lambda body: body[:2] + [body[1].rsplit(" ", 1)[0] + " 7.0"] + body[2:])
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    def test_unsorted_count_lines_are_malformed(self, tmp_path):
+        path = self._saved_with_counts(tmp_path, lambda body: [body[1], body[0]] + body[2:])
+        with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    def test_future_version_reported_before_other_header_errors(self, tmp_path):
+        path = tmp_path / "m.model"
+        path.write_text("version=2\nsomething else entirely\n", encoding="utf-8")
+        with pytest.raises(ModelVersionError):
             load_model(path)
 
 

@@ -116,3 +116,18 @@ class TestRegistryFile:
         reg_file.write_text("just words\n", encoding="utf-8")
         with pytest.raises(FormatError):
             load_registry(reg_file)
+
+    def test_repeated_reserved_key_rejected(self, tmp_path):
+        (tmp_path / "m.model").write_text("x", encoding="utf-8")
+        for repeated in ("default = de-en\ndefault = de-en\n", "hint.de = x\nhint.de = y\n"):
+            reg_file = tmp_path / "registry.cfg"
+            reg_file.write_text("de-en = m.model\n" + repeated, encoding="utf-8")
+            with pytest.raises(FormatError):
+                load_registry(reg_file)
+
+    def test_section_header_rejected(self, tmp_path):
+        (tmp_path / "m.model").write_text("x", encoding="utf-8")
+        reg_file = tmp_path / "registry.cfg"
+        reg_file.write_text("[routing]\nde-en = m.model\n", encoding="utf-8")
+        with pytest.raises(FormatError):
+            load_registry(reg_file)

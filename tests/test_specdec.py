@@ -380,3 +380,8 @@ class TestSpecConfig:
             SpecConfig(temperature=-0.5)
         with pytest.raises(ValueError):
             SpecConfig(max_new_tokens=0)
+
+    def test_non_finite_temperature_rejected(self):
+        for t in (float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                SpecConfig(temperature=t)
