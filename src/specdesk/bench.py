@@ -200,11 +200,17 @@ class GridResult:
         return ReportTable(GRID_COLUMNS, rows, {"K": str(self.draft_len)})
 
 
+def _check_max_prompts(max_prompts: Optional[int]) -> None:
+    """None means every prompt; otherwise at least one must be decoded."""
+    if max_prompts is not None and max_prompts < 1:
+        raise ValueError(f"max_prompts must be >= 1 (or unset for all), got {max_prompts!r}")
+
+
 def _bench_prompts(corpus: Corpus, vocab, seed: int, max_prompts: Optional[int]):
-    """(encoded prompt, per-prompt seed) for each benchmark prompt in corpus order;
-    prompt i is decoded with derive_seed(seed, BENCH_STREAM, i)."""
-    records = corpus.records[:max_prompts] if max_prompts else corpus.records
-    for pi, (prompt_text, _) in enumerate(records):
+    """(encoded prompt, per-prompt seed) for each of the first max_prompts
+    prompts (all when None) in corpus order; prompt i is decoded with
+    derive_seed(seed, BENCH_STREAM, i)."""
+    for pi, (prompt_text, _) in enumerate(corpus.records[:max_prompts]):
         yield encode(prompt_text, vocab), derive_seed(seed, BENCH_STREAM, pi)
 
 
@@ -247,6 +253,7 @@ def run_grid(target: NGramModel, grid: ExperimentGrid, *,
     target's vocabulary is recorded as an error and the run continues. Cells
     are independent; jobs > 1 fans them out over worker processes without
     changing any result."""
+    _check_max_prompts(max_prompts)
     cm = cost if cost is not None else CostModel()
     groups = [(dn, cn, t)
               for dn in grid.drafters
@@ -305,6 +312,7 @@ class EvalConfig:
         object.__setattr__(self, "seeds", tuple(self.seeds))
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        _check_max_prompts(self.max_prompts)
 
 
 @dataclass(frozen=True)
@@ -397,6 +405,7 @@ def wallclock_speedup(target: NGramModel, drafter: NGramModel, corpus: Corpus,
     speculative decoding over identical prompts and derived seeds."""
     if repetitions < 1:
         raise ValueError("repetitions must be >= 1")
+    _check_max_prompts(max_prompts)
     prompts = list(_bench_prompts(corpus, target.vocab, cfg.seed, max_prompts))
     base_times = []
     spec_times = []

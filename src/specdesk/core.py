@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 import numpy as np
 
@@ -131,11 +134,21 @@ def decode_tokens(ids: Iterable[int], vocab: Vocabulary) -> str:
     return "".join(out)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Distribution:
-    """Probability vector over a vocabulary: non-negative, sums to 1 within 1e-9."""
+    """Probability vector over a vocabulary: non-negative, sums to 1 within 1e-9.
+
+    The private slots memoise values derived from ``probs``, each filled on
+    first use: ``_tempered`` maps a temperature to apply_temperature's result,
+    ``_cdf`` holds the cumulative sum that sample bisects and ``_argmax`` the
+    argmax. They are pure functions of the immutable ``probs``, so two threads
+    filling one at once store equal values.
+    """
 
     probs: np.ndarray
+    _tempered: Optional[dict] = field(default=None, init=False, repr=False)
+    _cdf: Optional[array] = field(default=None, init=False, repr=False)
+    _argmax: Optional[int] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         arr = np.array(self.probs, dtype=np.float64, copy=True)
@@ -148,6 +161,18 @@ class Distribution:
             raise ValueError(f"distribution sums to {total!r}, not 1")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
+
+    @classmethod
+    def _trusted(cls, probs: np.ndarray) -> "Distribution":
+        """Wrap a float64 vector that is non-negative and normalised by
+        construction, without copying or validating it."""
+        d = object.__new__(cls)
+        probs.setflags(write=False)
+        object.__setattr__(d, "probs", probs)
+        object.__setattr__(d, "_tempered", None)
+        object.__setattr__(d, "_cdf", None)
+        object.__setattr__(d, "_argmax", None)
+        return d
 
     def __len__(self) -> int:
         return self.probs.size
@@ -176,33 +201,58 @@ def check_temperature(temperature: float) -> None:
 def apply_temperature(d: Distribution, temperature: float) -> Distribution:
     """Temperature transform: T=0 is an exact argmax one-hot, T=1 the identity,
     otherwise entries are raised to 1/T and renormalized (computed in log space
-    so extreme temperatures cannot underflow the whole vector)."""
+    so extreme temperatures cannot underflow the whole vector). The result is
+    memoised on ``d``, one entry per temperature, and a repeat call returns
+    the same object."""
+    tempered = d._tempered
+    if tempered is not None:
+        # Only temperatures that passed check_temperature are ever stored.
+        out = tempered.get(temperature)
+        if out is not None:
+            return out
     check_temperature(temperature)
-    probs = d.probs
-    if temperature == 0.0:
-        out = np.zeros_like(probs)
-        out[int(np.argmax(probs))] = 1.0
-        return Distribution(out)
     if temperature == 1.0:
         return d
-    if not np.any(probs > 0):
-        raise ValueError("cannot rescale an all-zero distribution")
-    with np.errstate(divide="ignore"):
-        logp = np.log(probs)
-    scaled = logp / temperature
-    scaled -= scaled.max()
-    w = np.exp(scaled)
-    return Distribution(w / w.sum())
+    if temperature == 0.0:
+        out = _one_hot(len(d), argmax(d))
+    else:
+        probs = d.probs
+        if not np.any(probs > 0):
+            raise ValueError("cannot rescale an all-zero distribution")
+        with np.errstate(divide="ignore"):
+            logp = np.log(probs)
+        scaled = logp / temperature
+        scaled -= scaled.max()
+        w = np.exp(scaled)
+        out = Distribution(w / w.sum())
+    if tempered is None:
+        tempered = {}
+        object.__setattr__(d, "_tempered", tempered)
+    tempered[temperature] = out
+    return out
+
+
+@lru_cache(maxsize=4096)
+def _one_hot(size: int, index: int) -> Distribution:
+    # Shared by every distribution of this size whose argmax is index, so a
+    # cache of T=0 transforms holds at most one vector per token id.
+    probs = np.zeros(size)
+    probs[index] = 1.0
+    return Distribution._trusted(probs)
 
 
 def sample(d: Distribution, rng) -> int:
     """Inverse-CDF draw using a single uniform variate from ``rng.random()``.
 
     Returns id i with probability d[i]; deterministic given the rng state.
+    The cumulative sum is computed once per distribution and kept on it.
     """
     u = rng.random()
-    cdf = np.cumsum(d.probs)
-    idx = int(np.searchsorted(cdf, u, side="right"))
+    cdf = d._cdf
+    if cdf is None:
+        cdf = array("d", d.probs.cumsum().tobytes())
+        object.__setattr__(d, "_cdf", cdf)
+    idx = bisect_right(cdf, u)
     if idx >= len(cdf):
         # Cumulative rounding can leave cdf[-1] a hair below 1.0.
         idx = int(np.flatnonzero(d.probs > 0)[-1])
@@ -210,8 +260,13 @@ def sample(d: Distribution, rng) -> int:
 
 
 def argmax(d: Distribution) -> int:
-    """Index of the maximum entry; ties break toward the lowest token id."""
-    return int(np.argmax(d.probs))
+    """Index of the maximum entry; ties break toward the lowest token id.
+    Memoised on ``d``."""
+    idx = d._argmax
+    if idx is None:
+        idx = int(np.argmax(d.probs))
+        object.__setattr__(d, "_argmax", idx)
+    return idx
 
 
 def _escape_token(token: str) -> str:
@@ -236,9 +291,11 @@ def read_lines(path) -> list[str]:
 
 
 def write_lines(path, lines: Iterable[str]) -> None:
-    """Write the lines joined by '\\n' plus a final '\\n', UTF-8, the same
-    bytes on every platform."""
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    """Write each line followed by '\\n', UTF-8, the same bytes on every
+    platform; no lines give an empty file, which read_lines reads back as []."""
+    lines = list(lines)
+    Path(path).write_text("\n".join(lines) + "\n" if lines else "", encoding="utf-8",
+                          newline="\n")
 
 
 def vocab_lines(vocab: Vocabulary) -> list[str]:

@@ -8,6 +8,7 @@ to anticipate.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Optional
 
@@ -100,6 +101,10 @@ def self_distill(job: DistillJob, skip_empty: bool = False) -> Corpus:
     if len(job.prompts) == 0:
         raise ValueError("prompt corpus is empty")
     vocab = job.target.vocab
+    # A copy shares the target's counts but not its next_dist cache (copying
+    # goes through NGramModel.__getstate__), so the distributions this sweep
+    # memoises are freed on return instead of living as long as the target.
+    target = copy.copy(job.target)
     schedule = _effective_schedule(job)
     records = []
     for pi, (source_text, _) in enumerate(job.prompts.records):
@@ -108,7 +113,7 @@ def self_distill(job: DistillJob, skip_empty: bool = False) -> Corpus:
         for ti, (temperature, n_samples) in enumerate(schedule):
             for si in range(n_samples):
                 seed = derive_seed(job.seed, DISTILL_STREAM, pi, ti, si)
-                continuation = generate(job.target, prompt_ids,
+                continuation = generate(target, prompt_ids,
                                         SamplerConfig(temperature, seed), job.max_len)
                 completion = decode_tokens(continuation, vocab)
                 if skip_empty and completion == "":

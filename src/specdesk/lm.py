@@ -111,6 +111,10 @@ class NGramModel:
             ctx: float(sum(per_tok.values())) for ctx, per_tok in self.counts.items()
         }
         self._dist_cache: dict[tuple[int, ...], Distribution] = {}
+        # The add-k uniform every context without counts shares; it is kept
+        # out of _dist_cache, so unseen contexts cost no cache entry.
+        size = vocab.size
+        self._uniform = Distribution(np.full(size, self.k, dtype=np.float64) / (self.k * size))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, NGramModel):
@@ -145,15 +149,14 @@ class NGramModel:
         cached = self._dist_cache.get(ctx)
         if cached is not None:
             return cached
+        per_tok = self.counts.get(ctx)
+        if not per_tok:
+            return self._uniform
         size = self.vocab.size
         weights = np.full(size, self.k, dtype=np.float64)
-        per_tok = self.counts.get(ctx)
-        total = self.k * size
-        if per_tok:
-            for tok, count in per_tok.items():
-                weights[tok] += count
-            total += self._totals[ctx]
-        dist = Distribution(weights / total)
+        for tok, count in per_tok.items():
+            weights[tok] += count
+        dist = Distribution(weights / (self.k * size + self._totals[ctx]))
         if len(self._dist_cache) < _DIST_CACHE_LIMIT:
             self._dist_cache[ctx] = dist
         return dist
@@ -249,15 +252,15 @@ def save_model(model: NGramModel, path) -> None:
         f"vocab={model.vocab.size}",
     ]
     lines.extend(vocab_lines(model.vocab))
-    entries = []
-    for ctx, per_tok in model.counts.items():
-        for tok, count in per_tok.items():
-            entries.append(ctx + (tok,) + (count,))
-    entries.sort(key=lambda e: e[:-1])
-    lines.append(f"counts={len(entries)}")
-    for entry in entries:
-        ids = " ".join(str(i) for i in entry[:-1])
-        lines.append(f"{ids} {entry[-1]!r}")
+    # Every context has order - 1 ids, so sorting contexts, then the tokens
+    # within each, gives the lexicographic order of (ctx..., tok).
+    count_lines = []
+    for ctx in sorted(model.counts):
+        prefix = "".join(f"{i} " for i in ctx)
+        per_tok = model.counts[ctx]
+        count_lines.extend(f"{prefix}{tok} {per_tok[tok]!r}" for tok in sorted(per_tok))
+    lines.append(f"counts={len(count_lines)}")
+    lines.extend(count_lines)
     write_lines(path, lines)
 
 
@@ -295,6 +298,9 @@ def _parse_model(lines: list[str]) -> NGramModel:
         raise ModelFormatError(
             f"counts={n_counts} but {len(lines) - counts_start} count lines follow")
     counts: dict[tuple[int, ...], dict[int, float]] = {}
+    # Most counts are a few small whole numbers, so lines that spell a count
+    # alike share one float object.
+    shared: dict[str, float] = {}
     previous: tuple[int, ...] = ()
     for ln in range(counts_start, len(lines)):
         parts = lines[ln].split(" ")
@@ -314,7 +320,7 @@ def _parse_model(lines: list[str]) -> NGramModel:
         if key <= previous:
             raise ModelFormatError(f"line {ln + 1}: count lines must be strictly increasing")
         previous = key
-        counts.setdefault(key[:-1], {})[key[-1]] = count
+        counts.setdefault(key[:-1], {})[key[-1]] = shared.setdefault(parts[-1], count)
     return NGramModel(order, k, vocab, counts, provenance)
 
 

@@ -72,6 +72,15 @@ class Draft:
             if dist.p(tok) <= 0.0:
                 raise ValueError(f"draft token {i} has zero probability under its own distribution")
 
+    @classmethod
+    def _trusted(cls, tokens: tuple[int, ...], dists: tuple[Distribution, ...]) -> "Draft":
+        """A draft whose tokens were sampled from their own distributions, so
+        each has positive probability; skips the per-token re-check."""
+        d = object.__new__(cls)
+        object.__setattr__(d, "tokens", tokens)
+        object.__setattr__(d, "dists", dists)
+        return d
+
     def __len__(self) -> int:
         return len(self.tokens)
 
@@ -96,7 +105,7 @@ class VerificationOutcome:
         return list(draft.tokens[: self.accepted_count]) + [extra]
 
 
-@dataclass
+@dataclass(slots=True)
 class DecodeStats:
     """Per-run counters behind every reported metric.
 
@@ -154,7 +163,7 @@ def draft(drafter: NGramModel, context: Sequence[int], draft_len: int,
         if token == EOS_ID:
             break
         ctx.append(token)
-    return Draft(tuple(tokens), tuple(dists))
+    return Draft._trusted(tuple(tokens), tuple(dists))
 
 
 def score_parallel(target: NGramModel, context: Sequence[int], d: Draft,
@@ -174,12 +183,14 @@ def score_parallel(target: NGramModel, context: Sequence[int], d: Draft,
 def residual_dist(q: Distribution, p: Distribution) -> Distribution:
     """Normalized positive part of (q - p), the distribution a rejected
     position's replacement token is sampled from."""
-    diff = np.clip(q.probs - p.probs, 0.0, None)
+    diff = q.probs - p.probs
+    np.maximum(diff, 0.0, out=diff)
     total = diff.sum()
     if total < 1e-12:
         raise ValueError("residual distribution vanished; rejection from equal "
                          "distributions is unreachable")
-    return Distribution(diff / total)
+    diff /= total
+    return Distribution._trusted(diff)
 
 
 def verify_stochastic(d: Draft, target_dists: Sequence[Distribution], rng) -> VerificationOutcome:

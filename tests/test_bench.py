@@ -198,6 +198,13 @@ class TestRunGrid:
         parallel = run_grid(target, grid, max_new_tokens=10, max_prompts=3, jobs=2)
         assert serial.rows == parallel.rows
 
+    def test_max_prompts_below_one_rejected(self, trained_pair):
+        target, _, d_de, _, eval_de, _ = trained_pair
+        grid = ExperimentGrid({"de": d_de}, {"de": eval_de}, seeds=(0,), draft_len=3)
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="max_prompts"):
+                run_grid(target, grid, max_new_tokens=8, max_prompts=bad)
+
     def test_empty_axes_rejected(self):
         with pytest.raises(ValueError):
             ExperimentGrid({}, {"x": Corpus((("a", "b"),))})
@@ -212,6 +219,11 @@ class TestScalingCurve:
         assert len(curve.points) == 3
         assert [p.budget for p in curve.points] == [50, 200, 800]
         assert all(p.tokens_used <= p.budget for p in curve.points)
+
+    def test_max_prompts_below_one_rejected(self):
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="max_prompts"):
+                EvalConfig(max_prompts=bad)
 
     def test_budget_zero_rejected(self, trained_pair):
         target, base, _, _, eval_de, _ = trained_pair
@@ -280,6 +292,12 @@ class TestWallclock:
         target, _, d_de, _, eval_de, _ = trained_pair
         with pytest.raises(ValueError):
             wallclock_speedup(target, d_de, eval_de, SpecConfig(), repetitions=0)
+
+    def test_max_prompts_below_one_rejected(self, trained_pair):
+        target, _, d_de, _, eval_de, _ = trained_pair
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="max_prompts"):
+                wallclock_speedup(target, d_de, eval_de, SpecConfig(), max_prompts=bad)
 
     def test_timing_self_comparison_band(self):
         def work():

@@ -261,6 +261,15 @@ class TestBenchCommands:
         assert (ws / "outA" / "grid.csv").read_bytes() == (ws / "outB" / "grid.csv").read_bytes()
         assert (ws / "outA" / "grid.md").read_bytes() == (ws / "outB" / "grid.md").read_bytes()
 
+    def test_grid_max_prompts_zero_is_6(self, ws):
+        cfg = self._grid_config(ws)
+        cfg.write_text(cfg.read_text(encoding="utf-8").replace(
+            "max_prompts = 3", "max_prompts = 0"), encoding="utf-8")
+        proc = run_cli("bench", "grid", "--config", "grid.cfg", "--out-dir", "out0", cwd=ws)
+        assert proc.returncode == 6, proc.stderr
+        assert "max_prompts" in proc.stderr
+        assert not (ws / "out0").exists()
+
     def test_grid_requires_config(self, ws):
         assert run_cli("bench", "grid", "--out-dir", "x", cwd=ws).returncode == 2
 
@@ -286,6 +295,23 @@ class TestBenchCommands:
         csv_text = (ws / "sc" / "scaling.csv").read_text(encoding="utf-8")
         assert "budget,tokens_used" in csv_text
         assert "# spearman_mean_accepted=" in csv_text
+
+    def test_scaling_max_prompts_zero_is_6(self, ws):
+        cfg = ws / "scaling0.cfg"
+        cfg.write_text(
+            "[scaling]\n"
+            "target = target_de.model\n"
+            "drafter = base.model\n"
+            "corpus = de.tsv\n"
+            "eval = eval_de.tsv\n"
+            "budgets = 100\n"
+            "max_prompts = 0\n",
+            encoding="utf-8")
+        proc = run_cli("bench", "scaling", "--config", "scaling0.cfg", "--out-dir", "sc0",
+                       cwd=ws)
+        assert proc.returncode == 6, proc.stderr
+        assert "max_prompts" in proc.stderr
+        assert not (ws / "sc0").exists()
 
 
 class TestRouteCommand:

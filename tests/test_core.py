@@ -220,6 +220,49 @@ class TestApplyTemperature:
             assert hot.p(argmax(d)) == 1.0
 
 
+def reference_temperature(probs: np.ndarray, temperature: float) -> np.ndarray:
+    """The temperature transform computed from scratch, with no memo."""
+    if temperature == 0.0:
+        out = np.zeros_like(probs)
+        out[int(np.argmax(probs))] = 1.0
+        return out
+    with np.errstate(divide="ignore"):
+        scaled = np.log(probs) / temperature
+    scaled -= scaled.max()
+    w = np.exp(scaled)
+    return w / w.sum()
+
+
+class TestTemperatureMemo:
+    def test_repeat_call_returns_same_object_equal_to_fresh_transform(self):
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            probs = rng.dirichlet(np.ones(int(rng.integers(2, 60))))
+            probs[rng.integers(len(probs))] = 0.0
+            probs /= probs.sum()
+            d = Distribution(probs)
+            for t in (0.0, 0.3, 0.7, 2.5):
+                first = apply_temperature(d, t)
+                assert apply_temperature(d, t) is first
+                assert np.array_equal(first.probs, reference_temperature(probs, t))
+                uncached = apply_temperature(Distribution(probs), t)
+                assert np.array_equal(first.probs, uncached.probs)
+            assert apply_temperature(d, 1.0) is d
+
+    def test_one_hots_are_shared_per_size_and_argmax(self):
+        a = apply_temperature(Distribution(np.array([0.2, 0.7, 0.1])), 0.0)
+        b = apply_temperature(Distribution(np.array([0.3, 0.4, 0.3])), 0.0)
+        assert a is b
+        assert argmax(a) == 1 and a.p(1) == 1.0
+
+    def test_rejected_temperature_is_not_memoised(self):
+        d = Distribution(np.array([0.8, 0.2]))
+        apply_temperature(d, 0.5)
+        for t in (-0.1, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                apply_temperature(d, t)
+
+
 class TestArgmax:
     def test_picks_maximum(self):
         assert argmax(Distribution(np.array([0.1, 0.9]))) == 1
@@ -240,6 +283,29 @@ class TestSample:
         assert sample(d, FixedUniforms([0.25])) == 0
         assert sample(d, FixedUniforms([0.75])) == 1
         assert sample(d, FixedUniforms([0.0])) == 0
+
+    def test_equals_searchsorted_on_a_fresh_cumsum(self):
+        def reference(probs, u):
+            idx = int(np.searchsorted(np.cumsum(probs), u, side="right"))
+            return idx if idx < len(probs) else int(np.flatnonzero(probs > 0)[-1])
+
+        rng = np.random.default_rng(17)
+        vectors = [rng.dirichlet(np.ones(n)) for n in (2, 5, 58) for _ in range(20)]
+        vectors.append(np.array([0.5, 0.25, 0.25, 0.0]))
+        # Ten tenths accumulate to 0.9999999999999999, so a uniform at or
+        # above cdf[-1] runs past the end and must land on the last positive id.
+        tenths = np.append(np.full(10, 0.1), 0.0)
+        assert np.cumsum(tenths)[-1] < 1.0
+        vectors.append(tenths)
+        for probs in vectors:
+            d = Distribution(probs)
+            cdf = np.cumsum(probs)
+            us = [float(u) for u in rng.random(40)] + [0.0, float(cdf[-1]),
+                  float(np.nextafter(1.0, 0.0))] + [float(c) for c in cdf[:-1]]
+            for u in us:
+                assert sample(d, FixedUniforms([u])) == reference(probs, u)
+        d = Distribution(tenths)
+        assert sample(d, FixedUniforms([float(np.cumsum(tenths)[-1])])) == 9
 
     def test_never_returns_zero_probability_id(self):
         d = Distribution(np.array([0.5, 0.0, 0.5]))
@@ -308,6 +374,12 @@ class TestLineFiles:
         write_lines(path, ["a", "b\r", "", "c"])
         assert path.read_bytes() == b"a\nb\r\n\nc\n"
         assert read_lines(path) == ["a", "b\r", "", "c"]
+
+    def test_no_lines_is_an_empty_file(self, tmp_path):
+        path = tmp_path / "f.txt"
+        write_lines(path, [])
+        assert path.read_bytes() == b""
+        assert read_lines(path) == []
 
     def test_missing_final_newline(self, tmp_path):
         path = tmp_path / "f.txt"

@@ -85,6 +85,12 @@ class TestSelfDistill:
                            SamplerConfig(0.0, 0), 16)
             assert completion == decode_tokens(ids, target.vocab)
 
+    def test_target_cache_untouched(self):
+        target = _target()
+        cached = target.next_dist([])
+        self_distill(DistillJob(target, _prompts(4), max_len=8))
+        assert list(target._dist_cache.values()) == [cached]
+
     def test_order_is_prompt_major(self):
         corpus = self_distill(DistillJob(_target(), _prompts(3),
                                          temperatures=(0.0, 1.0), max_len=8))

@@ -94,6 +94,18 @@ class TestNextDist:
         d = m.next_dist([UNK_ID])
         assert np.allclose(d.probs, 0.2, atol=1e-15)
 
+    def test_unseen_contexts_share_one_uniform_outside_the_cache(self):
+        m = pretrain(AAB, order=3, k=0.3)
+        a = m.vocab.lookup("a")
+        m.next_dist([a])  # a counted context is cached
+        cached = len(m._dist_cache)
+        first = m.next_dist([UNK_ID, UNK_ID])
+        assert m.next_dist([a, UNK_ID]) is first
+        assert len(m._dist_cache) == cached == 1
+        size = m.vocab.size
+        assert np.array_equal(first.probs, np.full(size, 0.3) / (0.3 * size))
+        assert m.next_dist([a]) is m.next_dist([BOS_ID, a])
+
     def test_hand_counted_probability(self):
         # P(a | a) = (1 + 1) / (2 + 1*5) = 2/7 for |V| = 5
         m = aab_model(k=1.0)
@@ -250,6 +262,26 @@ class TestModelPersistence:
         save_model(pretrain(corpus, order=2, k=0.5), p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    def test_count_lines_sorted_by_id_tuple(self, tmp_path):
+        m = finetune(pretrain(Corpus((("ab", "ba"), ("", "aab"))), order=3, k=0.25),
+                     Corpus((("", "bba"),)), weight=0.5)
+        path = tmp_path / "m.model"
+        save_model(m, path)
+        entries = sorted(ctx + (tok, count) for ctx, per_tok in m.counts.items()
+                         for tok, count in per_tok.items())
+        expected = [" ".join(str(i) for i in e[:-1]) + f" {e[-1]!r}" for e in entries]
+        lines = path.read_text(encoding="utf-8").split("\n")
+        start = lines.index(f"counts={len(entries)}") + 1
+        assert lines[start:-1] == expected
+
+    def test_equal_counts_load_as_one_float(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(pretrain(Corpus((("", "abcabd"),)), order=2, k=0.5), path)
+        ones = [c for per_tok in load_model(path).counts.values()
+                for c in per_tok.values() if c == 1.0]
+        assert len(ones) > 1
+        assert all(c is ones[0] for c in ones)
+
     def test_truncated_file_is_malformed(self, tmp_path):
         path = tmp_path / "m.model"
         save_model(aab_model(), path)
@@ -337,6 +369,12 @@ class TestCorpusIO:
         assert loaded.records == corpus.records
         assert loaded.langs == ("de", "en")
         assert loaded.meta == {"temps": "0.0,1.0"}
+
+    def test_empty_corpus_round_trip(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        save_corpus(Corpus(()), path)
+        assert path.read_bytes() == b""
+        assert load_corpus(path) == Corpus(())
 
     def test_missing_tab_rejected(self, tmp_path):
         path = tmp_path / "c.tsv"

@@ -20,14 +20,20 @@ from specdesk import (
     decode_speculative,
     draft,
     encode,
+    finetune,
     generate,
+    load_model,
     pretrain,
     residual_dist,
+    save_model,
     score_parallel,
     verify_greedy,
     verify_stochastic,
+    with_task_prompts,
 )
 from specdesk.core import ACCEPT_STREAM, DRAFT_STREAM, make_rng
+
+import synth
 
 
 class FixedUniforms:
@@ -85,6 +91,12 @@ class TestDraftOp:
         assert d.tokens == (a, a, a)
         for one in d.dists:
             assert one.p(a) == 1.0
+
+    def test_drafted_tokens_pass_draft_validation(self):
+        m = chain_model("abcabd", order=2, k=0.3)
+        for seed in range(50):
+            d = draft(m, [], 5, 0.7, make_rng(seed, DRAFT_STREAM))
+            assert Draft(d.tokens, d.dists).tokens == d.tokens
 
     def test_eos_truncates_draft(self):
         vocab = build_vocab("ab")
@@ -157,6 +169,16 @@ class TestResidual:
     def test_equal_distributions_unreachable(self):
         with pytest.raises(ValueError):
             residual_dist(dist(0.5, 0.5), dist(0.5, 0.5))
+
+    def test_equals_clipped_difference_exactly(self):
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            q = Distribution(rng.dirichlet(np.ones(58)))
+            p = Distribution(rng.dirichlet(np.ones(58)))
+            diff = np.clip(q.probs - p.probs, 0, None)
+            r = residual_dist(q, p)
+            assert np.array_equal(r.probs, diff / diff.sum())
+            assert not r.probs.flags.writeable
 
     def test_renormalizes(self):
         rng = np.random.default_rng(0)
@@ -385,3 +407,39 @@ class TestSpecConfig:
         for t in (float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 SpecConfig(temperature=t)
+
+
+@pytest.fixture(scope="module")
+def saved_pair(tmp_path_factory):
+    """A synthetic target and drafter, each saved to a model file."""
+    de = with_task_prompts(synth.make_bitext(("de", "en"), 40, seed=1))
+    general = synth.general_corpus(30, seed=3)
+    vocab = build_vocab(t for c in (de, general) for pair in c for t in pair)
+    target = pretrain(de, order=4, k=0.1, vocab=vocab)
+    drafter = finetune(pretrain(general, order=2, k=0.5, vocab=vocab), de)
+    root = tmp_path_factory.mktemp("memo")
+    save_model(target, root / "target.model")
+    save_model(drafter, root / "drafter.model")
+    prompts = [encode(p, vocab) for p, _ in
+               with_task_prompts(synth.make_bitext(("de", "en"), 3, seed=9)).records]
+    return root / "target.model", root / "drafter.model", prompts
+
+
+class TestMemoisedDecoding:
+    def test_warm_models_decode_as_freshly_loaded_ones(self, saved_pair):
+        target_path, drafter_path, prompts = saved_pair
+        warm_target, warm_drafter = load_model(target_path), load_model(drafter_path)
+        for seed in (0, 1, 2):
+            for temperature in (0.0, 0.3, 0.7, 1.0):
+                for k in (1, 3, 5):
+                    cfg = SpecConfig(draft_len=k, temperature=temperature,
+                                     max_new_tokens=24, seed=seed)
+                    for prompt in prompts:
+                        fresh = decode_speculative(load_model(target_path),
+                                                   load_model(drafter_path), prompt, cfg)
+                        warm = decode_speculative(warm_target, warm_drafter, prompt, cfg)
+                        assert warm[0] == fresh[0]
+                        assert warm[1].to_dict() == fresh[1].to_dict()
+                    sampler = SamplerConfig(temperature, seed)
+                    assert (generate(warm_target, prompts[0], sampler, 24)
+                            == generate(load_model(target_path), prompts[0], sampler, 24))
