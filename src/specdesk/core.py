@@ -54,6 +54,31 @@ def make_rng(seed: int, stream: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key))
 
 
+# How many uniforms _Uniforms reads from its generator at a time.
+_UNIFORM_BLOCK = 64
+
+
+class _Uniforms:
+    """A ``.random()`` source over a generator private to one call, read in
+    blocks of _UNIFORM_BLOCK uniforms. Philox gives the same values from
+    ``random(n)`` as from n single ``random()`` calls, so each draw equals
+    the generator's own next ``random()``; uniforms read but never drawn
+    are dropped with the generator, where no caller can see them."""
+
+    __slots__ = ("_rng", "_block")
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._block = iter(())
+
+    def random(self) -> float:
+        try:
+            return next(self._block)
+        except StopIteration:
+            self._block = iter(self._rng.random(_UNIFORM_BLOCK).tolist())
+            return next(self._block)
+
+
 def derive_seed(seed: int, stream: int, *path: int) -> int:
     """Stable 64-bit child seed for (seed, stream, *path)."""
     key = np.random.SeedSequence(seed & _SEED_MASK, spawn_key=(stream, *path))
@@ -140,15 +165,17 @@ class Distribution:
 
     The private slots memoise values derived from ``probs``, each filled on
     first use: ``_tempered`` maps a temperature to apply_temperature's result,
-    ``_cdf`` holds the cumulative sum that sample bisects and ``_argmax`` the
-    argmax. They are pure functions of the immutable ``probs``, so two threads
-    filling one at once store equal values.
+    ``_cdf`` holds the cumulative sum that sample bisects, ``_argmax`` the
+    argmax and ``_residual`` maps a distribution q to
+    ``specdec.residual_dist(q, self)``. They are pure functions of immutable
+    vectors, so two threads filling one at once store equal values.
     """
 
     probs: np.ndarray
     _tempered: Optional[dict] = field(default=None, init=False, repr=False)
     _cdf: Optional[array] = field(default=None, init=False, repr=False)
     _argmax: Optional[int] = field(default=None, init=False, repr=False)
+    _residual: Optional[dict] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         arr = np.array(self.probs, dtype=np.float64, copy=True)
@@ -172,6 +199,7 @@ class Distribution:
         object.__setattr__(d, "_tempered", None)
         object.__setattr__(d, "_cdf", None)
         object.__setattr__(d, "_argmax", None)
+        object.__setattr__(d, "_residual", None)
         return d
 
     def __len__(self) -> int:

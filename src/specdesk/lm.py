@@ -23,6 +23,7 @@ from .core import (
     SamplerConfig,
     TokenSequence,
     Vocabulary,
+    _Uniforms,
     apply_temperature,
     build_vocab,
     encode,
@@ -145,7 +146,9 @@ class NGramModel:
     def next_dist(self, context: TokenSequence) -> Distribution:
         """Add-k next-token distribution given the (padded) context:
         P(x | ctx) = (count(ctx, x) + k) / (total(ctx) + k * |V|)."""
-        ctx = self._pad_context(context)
+        n1 = self.order - 1
+        # A context of at least order - 1 ids needs no padding.
+        ctx = tuple(context[-n1:]) if 0 < n1 <= len(context) else self._pad_context(context)
         cached = self._dist_cache.get(ctx)
         if cached is not None:
             return cached
@@ -225,7 +228,7 @@ def generate(model: NGramModel, prompt: TokenSequence, cfg: SamplerConfig,
     continuation, without the terminating <eos>."""
     if max_len < 1:
         raise ValueError("max_len must be >= 1")
-    rng = make_rng(cfg.seed, GENERATE_STREAM)
+    rng = _Uniforms(make_rng(cfg.seed, GENERATE_STREAM))
     context = list(prompt)
     out: TokenSequence = []
     while len(out) < max_len:

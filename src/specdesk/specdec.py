@@ -1,9 +1,10 @@
 """Draft/verify/accept speculative decoding.
 
 A cheap drafter proposes a block of tokens; the target model scores the block
-in one pass; verification accepts a prefix and emits one extra token, either a
-correction sampled from the residual distribution (after a rejection) or a
-bonus token from the target's next distribution (after full acceptance). With
+in one call, each position when verification first reads it; verification
+accepts a prefix and emits one extra token, either a correction sampled from
+the residual distribution (after a rejection) or a bonus token from the
+target's next distribution (after full acceptance). With
 rejection-sampling verification the emitted stream is distributed exactly as
 target-only sampling; with greedy verification it is token-identical to
 target-only greedy decoding.
@@ -12,8 +13,9 @@ target-only greedy decoding.
 from __future__ import annotations
 
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from .core import (
     EOS_ID,
     Distribution,
     TokenSequence,
+    _Uniforms,
     apply_temperature,
     argmax,
     check_temperature,
@@ -166,23 +169,60 @@ def draft(drafter: NGramModel, context: Sequence[int], draft_len: int,
     return Draft._trusted(tuple(tokens), tuple(dists))
 
 
+class _TargetRows(Sequence):
+    """The len(d) + 1 target rows of score_parallel, each scored when it is
+    first read and then kept. Verification stops reading at the first
+    rejection, so the rows past it are never scored."""
+
+    __slots__ = ("_target", "_tail", "_tokens", "_temperature", "_rows")
+
+    def __init__(self, target: NGramModel, context: Sequence[int], d: Draft,
+                 temperature: float):
+        # next_dist reads at most the last order - 1 ids of a context (fewer
+        # are padded), so row j's context is this tail plus j draft tokens.
+        n1 = target.order - 1
+        self._target = target
+        self._tail = tuple(context[-n1:]) if n1 else ()
+        self._tokens = d.tokens
+        self._temperature = temperature
+        self._rows: list = [None] * (len(d.tokens) + 1)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, j):
+        if isinstance(j, slice):
+            return [self[i] for i in range(*j.indices(len(self._rows)))]
+        row = self._rows[j]
+        if row is None:
+            j %= len(self._rows)
+            row = apply_temperature(self._target.next_dist(self._tail + self._tokens[:j]),
+                                    self._temperature)
+            self._rows[j] = row
+        return row
+
+
 def score_parallel(target: NGramModel, context: Sequence[int], d: Draft,
-                   temperature: float) -> list[Distribution]:
+                   temperature: float) -> Sequence[Distribution]:
     """Post-temperature target distributions at every draft position plus one
     past the end: conditioned on the context alone, then the context extended
-    by 1..len(d) draft tokens. Equal to sequential scoring by construction;
-    batching is an execution detail, not a semantic one."""
-    ctx = list(context)
-    out = [apply_temperature(target.next_dist(ctx), temperature)]
-    for token in d.tokens:
-        ctx.append(token)
-        out.append(apply_temperature(target.next_dist(ctx), temperature))
-    return out
+    by 1..len(d) draft tokens. Equal to sequential scoring by construction.
+    The rows are scored on first read, so a caller pays only for the rows it
+    reads; like batching, that is an execution detail, not a semantic one."""
+    return _TargetRows(target, context, d, temperature)
 
 
 def residual_dist(q: Distribution, p: Distribution) -> Distribution:
     """Normalized positive part of (q - p), the distribution a rejected
-    position's replacement token is sampled from."""
+    position's replacement token is sampled from. The result is memoised on
+    the drafter's ``p``, one entry per ``q``, and a repeat call returns the
+    same object. Kept on p, the memo goes when the drafter goes; kept on q,
+    a long-lived target would hold every discarded drafter's distributions."""
+    memo = p._residual
+    if memo is not None:
+        out = memo.get(q)
+        if out is not None:
+            return out
     diff = q.probs - p.probs
     np.maximum(diff, 0.0, out=diff)
     total = diff.sum()
@@ -190,7 +230,12 @@ def residual_dist(q: Distribution, p: Distribution) -> Distribution:
         raise ValueError("residual distribution vanished; rejection from equal "
                          "distributions is unreachable")
     diff /= total
-    return Distribution._trusted(diff)
+    out = Distribution._trusted(diff)
+    if memo is None:
+        memo = {}
+        object.__setattr__(p, "_residual", memo)
+    memo[q] = out
+    return out
 
 
 def verify_stochastic(d: Draft, target_dists: Sequence[Distribution], rng) -> VerificationOutcome:
@@ -244,8 +289,10 @@ def decode_speculative(target: NGramModel, drafter: NGramModel,
     """
     if target.vocab != drafter.vocab:
         raise VocabularyMismatchError("target and drafter must share one vocabulary")
-    draft_rng = make_rng(cfg.seed, DRAFT_STREAM)
-    accept_rng = make_rng(cfg.seed, ACCEPT_STREAM)
+    draft_rng = _Uniforms(make_rng(cfg.seed, DRAFT_STREAM))
+    # Greedy verification draws nothing, so T=0 builds no acceptance stream.
+    greedy = cfg.temperature == 0.0
+    accept_rng = None if greedy else _Uniforms(make_rng(cfg.seed, ACCEPT_STREAM))
     stats = DecodeStats(draft_len=cfg.draft_len, temperature=cfg.temperature,
                         max_new_tokens=cfg.max_new_tokens, seed=cfg.seed)
     context = list(prompt)
@@ -255,7 +302,7 @@ def decode_speculative(target: NGramModel, drafter: NGramModel,
     while not finished and len(out) < cfg.max_new_tokens:
         d = draft(drafter, context, cfg.draft_len, cfg.temperature, draft_rng)
         target_dists = score_parallel(target, context, d, cfg.temperature)
-        if cfg.temperature == 0.0:
+        if greedy:
             outcome = verify_greedy(d, target_dists)
         else:
             outcome = verify_stochastic(d, target_dists, accept_rng)

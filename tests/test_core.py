@@ -21,8 +21,8 @@ from specdesk import (
     sample,
     save_vocab,
 )
-from specdesk.core import (ACCEPT_STREAM, DRAFT_STREAM, RESERVED_TOKENS, read_lines, read_sections,
-                           write_lines)
+from specdesk.core import (_UNIFORM_BLOCK, ACCEPT_STREAM, DRAFT_STREAM, GENERATE_STREAM,
+                           RESERVED_TOKENS, _Uniforms, read_lines, read_sections, write_lines)
 
 
 class FixedUniforms:
@@ -351,6 +351,26 @@ class TestRngContract:
     def test_negative_seed_accepted(self):
         make_rng(-5, DRAFT_STREAM).random()
         assert derive_seed(-5, 0) == derive_seed(-5, 0)
+
+
+class TestBlockUniforms:
+    def test_equal_single_draws_across_refills(self):
+        n = 3 * _UNIFORM_BLOCK + 5
+        for seed in (0, 1, 7, -3, 2**63):
+            for stream in (DRAFT_STREAM, ACCEPT_STREAM, GENERATE_STREAM):
+                single = make_rng(seed, stream)
+                buffered = _Uniforms(make_rng(seed, stream))
+                for _ in range(n):
+                    u = buffered.random()
+                    assert type(u) is float
+                    assert u == single.random()
+
+    def test_drives_sample_as_the_generator_does(self):
+        d = Distribution(np.array([0.1, 0.2, 0.3, 0.4]))
+        single = make_rng(5, DRAFT_STREAM)
+        buffered = _Uniforms(make_rng(5, DRAFT_STREAM))
+        n = 2 * _UNIFORM_BLOCK + 1
+        assert [sample(d, buffered) for _ in range(n)] == [sample(d, single) for _ in range(n)]
 
 
 class TestSamplerConfig:

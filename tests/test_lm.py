@@ -128,6 +128,19 @@ class TestNextDist:
         a, b = m.vocab.lookup("a"), m.vocab.lookup("b")
         assert np.array_equal(m.next_dist([b, b, a]).probs, m.next_dist([a]).probs)
 
+    def test_key_equals_the_padded_context_for_every_length(self):
+        corpus = Corpus((("", "abcab acb cba"),))
+        for order in (1, 2, 3, 4):
+            m = pretrain(corpus, order=order, k=0.3)
+            ids = encode("abcab acbx", m.vocab)
+            for n in range(len(ids) + 1):
+                ctx = ids[:n]
+                key = m._pad_context(ctx)
+                got = m.next_dist(ctx)
+                assert got is m._dist_cache.get(key, m._uniform)
+                assert got is m.next_dist(list(key))
+                assert got is m.next_dist(tuple(ctx))
+
     def test_bos_gets_smoothing_mass(self):
         m = aab_model(k=1.0)
         assert m.next_dist([m.vocab.lookup("a")]).p(BOS_ID) == pytest.approx(1 / 7)

@@ -31,7 +31,9 @@ from specdesk import (
     verify_stochastic,
     with_task_prompts,
 )
-from specdesk.core import ACCEPT_STREAM, DRAFT_STREAM, make_rng
+from specdesk import specdec
+from specdesk.core import (ACCEPT_STREAM, DRAFT_STREAM, GENERATE_STREAM, UNK_ID, decode_tokens,
+                           make_rng, sample)
 
 import synth
 
@@ -157,6 +159,49 @@ class TestScoreParallel:
             assert np.array_equal(p_i.probs, q_i.probs)
 
 
+class TestScoreOnDemand:
+    def test_rows_read_in_any_order_equal_eager_scoring(self):
+        m = chain_model("abcabdabc", order=3, k=0.4)
+        drafter = chain_model("abcabc", order=2, k=0.4, vocab=m.vocab)
+        prompt = encode("ab", m.vocab)
+        for seed in range(5):
+            d = draft(drafter, prompt, 4, 0.7, make_rng(seed, DRAFT_STREAM))
+            rows = score_parallel(m, prompt, d, 0.7)
+            eager = [apply_temperature(m.next_dist(prompt + list(d.tokens[:j])), 0.7)
+                     for j in range(len(d) + 1)]
+            assert len(rows) == len(d) + 1
+            assert rows[-1] is eager[-1]
+            assert rows[2] is eager[2] and rows[-3] is eager[-3]
+            assert rows[1:3] == eager[1:3]
+            assert list(rows) == eager
+            with pytest.raises(IndexError):
+                rows[len(d) + 1]
+
+    def test_rows_ignore_later_changes_to_the_context(self):
+        m = chain_model("abcabd", order=3, k=0.4)
+        prompt = encode("ab", m.vocab)
+        d = draft(m, prompt, 2, 1.0, make_rng(0, DRAFT_STREAM))
+        rows = score_parallel(m, prompt, d, 1.0)
+        want = m.next_dist(prompt + list(d.tokens))
+        prompt.extend(encode("dd", m.vocab))
+        assert rows[-1] is want
+
+    def test_target_scores_only_the_rows_verification_reads(self, saved_pair):
+        target_path, drafter_path, prompts = saved_pair
+        for temperature in (0.0, 0.7, 1.0):
+            for seed in (0, 1):
+                target, drafter = load_model(target_path), load_model(drafter_path)
+                calls = []
+                scored = target.next_dist
+                target.next_dist = lambda ctx: calls.append(1) or scored(ctx)
+                cfg = SpecConfig(draft_len=5, temperature=temperature,
+                                 max_new_tokens=40, seed=seed)
+                _, stats = decode_speculative(target, drafter, prompts[0], cfg)
+                assert len(calls) == sum(a + 1 for a in stats.accepted_per_cycle)
+                assert stats.target_calls == stats.cycles
+                assert len(calls) < stats.cycles * (cfg.draft_len + 1)
+
+
 class TestResidual:
     def test_hand_case_two_tokens(self):
         out = residual_dist(dist(0.9, 0.1), dist(0.5, 0.5))
@@ -179,6 +224,32 @@ class TestResidual:
             r = residual_dist(q, p)
             assert np.array_equal(r.probs, diff / diff.sum())
             assert not r.probs.flags.writeable
+
+    def test_memoised_per_pair(self):
+        rng = np.random.default_rng(5)
+        q1, q2, p1, p2 = (Distribution(rng.dirichlet(np.ones(12))) for _ in range(4))
+        r11 = residual_dist(q1, p1)
+        assert residual_dist(q1, p1) is r11
+        diff = np.clip(q1.probs - p1.probs, 0, None)
+        assert np.array_equal(r11.probs, diff / diff.sum())
+        others = [residual_dist(q1, p2), residual_dist(q2, p1), residual_dist(p1, q1)]
+        for r in others:
+            assert not np.array_equal(r.probs, r11.probs)
+        assert [residual_dist(q1, p2), residual_dist(q2, p1)] == others[:2]
+        assert residual_dist(q1, p1) is r11
+
+    def test_memo_lives_on_the_drafter_distribution(self):
+        q, p = dist(0.9, 0.1), dist(0.5, 0.5)
+        r = residual_dist(q, p)
+        assert q._residual is None
+        assert p._residual == {q: r}
+
+    def test_vanished_residual_is_not_stored(self):
+        q, p = dist(0.5, 0.5), dist(0.5, 0.5)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                residual_dist(q, p)
+        assert q._residual is None and p._residual is None
 
     def test_renormalizes(self):
         rng = np.random.default_rng(0)
@@ -385,6 +456,21 @@ class TestDecodeSpeculative:
             assert all(0 <= a <= cfg.draft_len for a in stats.accepted_per_cycle)
             assert stats.drafter_calls <= stats.cycles * cfg.draft_len
 
+    def test_greedy_builds_no_acceptance_generator(self, monkeypatch):
+        target = chain_model("abacabadabe", order=3, k=0.3)
+        drafter = chain_model("ababab", order=2, k=0.3, vocab=target.vocab)
+        streams = []
+        real = specdec.make_rng
+        monkeypatch.setattr(specdec, "make_rng",
+                            lambda seed, stream, *path: streams.append(stream)
+                            or real(seed, stream, *path))
+        prompt = encode("ab", target.vocab)
+        decode_speculative(target, drafter, prompt, SpecConfig(3, 0.0, 20, seed=4))
+        assert streams == [DRAFT_STREAM]
+        streams.clear()
+        decode_speculative(target, drafter, prompt, SpecConfig(3, 0.7, 20, seed=4))
+        assert streams == [DRAFT_STREAM, ACCEPT_STREAM]
+
     def test_emitted_per_cycle_in_bounds(self):
         target = chain_model("xyzzyx", order=2, k=0.4)
         drafter = chain_model("zzz", order=2, k=0.4, vocab=target.vocab)
@@ -443,3 +529,132 @@ class TestMemoisedDecoding:
                     sampler = SamplerConfig(temperature, seed)
                     assert (generate(warm_target, prompts[0], sampler, 24)
                             == generate(load_model(target_path), prompts[0], sampler, 24))
+
+
+def reference_decode(target, drafter, prompt, cfg):
+    """The plain eager decode loop, kept as an oracle: it drafts, scores all
+    K+1 target rows up front, draws each uniform from its own make_rng
+    generator with one random() call and computes every residual afresh.
+    Returns the continuation and what DecodeStats.to_dict() must equal."""
+    t = cfg.temperature
+    draft_rng = make_rng(cfg.seed, DRAFT_STREAM)
+    accept_rng = make_rng(cfg.seed, ACCEPT_STREAM)
+    stats = {"cycles": 0, "accepted_per_cycle": [], "emitted_tokens": 0,
+             "truncated_tokens": 0, "target_calls": 0, "drafter_calls": 0,
+             "draft_len": cfg.draft_len, "temperature": t,
+             "max_new_tokens": cfg.max_new_tokens, "seed": cfg.seed}
+    context, out = list(prompt), []
+    finished = False
+    while not finished and len(out) < cfg.max_new_tokens:
+        tokens, ps = [], []
+        for _ in range(cfg.draft_len):
+            p = apply_temperature(drafter.next_dist(context + tokens), t)
+            tokens.append(sample(p, draft_rng))
+            ps.append(p)
+            if tokens[-1] == EOS_ID:
+                break
+        qs = [apply_temperature(target.next_dist(context + tokens[:j]), t)
+              for j in range(len(tokens) + 1)]
+        accepted, extra = len(tokens), None
+        for j, token in enumerate(tokens):
+            if t == 0.0:
+                top = int(np.argmax(qs[j].probs))
+                if token != top:
+                    accepted, extra = j, top
+                    break
+            elif accept_rng.random() >= min(1.0, qs[j].p(token) / ps[j].p(token)):
+                diff = np.clip(qs[j].probs - ps[j].probs, 0, None)
+                accepted, extra = j, sample(Distribution(diff / diff.sum()), accept_rng)
+                break
+        if extra is None:
+            extra = int(np.argmax(qs[-1].probs)) if t == 0.0 else sample(qs[-1], accept_rng)
+        stats["cycles"] += 1
+        stats["target_calls"] += 1
+        stats["drafter_calls"] += len(tokens)
+        stats["accepted_per_cycle"].append(accepted)
+        cycle_tokens = tokens[:accepted] + [extra]
+        for idx, token in enumerate(cycle_tokens):
+            if token == EOS_ID:
+                stats["emitted_tokens"] += 1
+                stats["truncated_tokens"] += len(cycle_tokens) - idx - 1
+                finished = True
+                break
+            if len(out) >= cfg.max_new_tokens:
+                stats["truncated_tokens"] += len(cycle_tokens) - idx
+                finished = True
+                break
+            out.append(token)
+            context.append(token)
+            stats["emitted_tokens"] += 1
+    return out, stats
+
+
+def reference_generate(model, prompt, cfg, max_len):
+    """The plain generate loop with one make_rng random() call per token."""
+    rng = make_rng(cfg.seed, GENERATE_STREAM)
+    context, out = list(prompt), []
+    while len(out) < max_len:
+        token = sample(apply_temperature(model.next_dist(context), cfg.temperature), rng)
+        if token == EOS_ID:
+            break
+        out.append(token)
+        context.append(token)
+    return out
+
+
+class TestReferenceDecoder:
+    """decode_speculative and generate equal the eager reference loops
+    token for token and stat for stat, on warm and on freshly loaded models.
+    The lengths make both decode streams and the generate stream draw more
+    than one block of buffered uniforms."""
+
+    def test_decode_speculative_matches_reference(self, saved_pair):
+        target_path, drafter_path, prompts = saved_pair
+        warm_target, warm_drafter = load_model(target_path), load_model(drafter_path)
+        for seed in (0, 1, 2):
+            for temperature in (0.0, 0.3, 0.7, 1.0):
+                for k in (1, 3, 5):
+                    cfg = SpecConfig(draft_len=k, temperature=temperature,
+                                     max_new_tokens=60, seed=seed)
+                    for prompt in prompts:
+                        want_out, want_stats = reference_decode(
+                            load_model(target_path), load_model(drafter_path), prompt, cfg)
+                        for target, drafter in ((warm_target, warm_drafter),
+                                                (load_model(target_path),
+                                                 load_model(drafter_path))):
+                            got_out, got_stats = decode_speculative(target, drafter, prompt, cfg)
+                            assert got_out == want_out
+                            assert got_stats.to_dict() == want_stats
+
+    def test_generate_matches_reference(self, saved_pair):
+        target_path, _, prompts = saved_pair
+        warm = load_model(target_path)
+        for seed in (0, 1, 2):
+            for temperature in (0.0, 0.3, 0.7, 1.0):
+                sampler = SamplerConfig(temperature, seed)
+                for prompt in prompts:
+                    want = reference_generate(load_model(target_path), prompt, sampler, 150)
+                    assert generate(warm, prompt, sampler, 150) == want
+                    assert generate(load_model(target_path), prompt, sampler, 150) == want
+
+
+class TestReservedIdEmission:
+    """Add-k smoothing gives <bos> and <unk> mass, so at T > 0 both can be
+    emitted; they count as emitted tokens and render as ''."""
+
+    def test_bos_and_unk_are_emitted_counted_and_render_empty(self):
+        target = chain_model("abba", order=2, k=2.0)
+        drafter = chain_model("ab", order=1, k=2.0, vocab=target.vocab)
+        seen = set()
+        for seed in range(20):
+            cfg = SpecConfig(draft_len=3, temperature=1.0, max_new_tokens=30, seed=seed)
+            out, stats = decode_speculative(target, drafter, [], cfg)
+            # every kept token counts, <bos> and <unk> too, plus a final <eos>
+            assert stats.emitted_tokens - len(out) in (0, 1)
+            for ids in (out, generate(target, [], SamplerConfig(1.0, seed), 30)):
+                reserved = [t for t in ids if t in (BOS_ID, UNK_ID)]
+                seen.update(reserved)
+                text = decode_tokens(ids, target.vocab)
+                assert len(text) == len(ids) - len(reserved)
+                assert text == "".join(target.vocab.tokens[t] for t in ids if t > UNK_ID)
+        assert seen == {BOS_ID, UNK_ID}
