@@ -38,6 +38,9 @@ TokenSequence = list[int]
 
 _SEED_MASK = 0xFFFF_FFFF_FFFF_FFFF
 
+# Above every Unicode code point; ends encode_array's lookup table.
+_NO_CODE_POINT = 0xFFFF_FFFF
+
 
 class FormatError(ValueError):
     """A file or stream violates one of the documented on-disk formats."""
@@ -95,6 +98,9 @@ class Vocabulary:
 
     tokens: tuple[str, ...]
     _index: dict = field(init=False, repr=False, compare=False)
+    # encode_array's lookup table: the sorted code points of the one-character
+    # tokens, then _NO_CODE_POINT, and each one's id (<unk> for the last).
+    _code_table: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tokens = tuple(self.tokens)
@@ -107,6 +113,10 @@ class Vocabulary:
                 raise ValueError(f"duplicate token {tok!r} in vocabulary")
             index[tok] = i
         object.__setattr__(self, "_index", index)
+        single = sorted((ord(tok), i) for i, tok in enumerate(tokens) if len(tok) == 1)
+        single.append((_NO_CODE_POINT, UNK_ID))
+        points, ids = (np.array(column, dtype="<u4") for column in zip(*single))
+        object.__setattr__(self, "_code_table", (points, ids))
 
     @property
     def size(self) -> int:
@@ -145,6 +155,19 @@ def build_vocab(corpus: Union[str, Iterable[str]]) -> Vocabulary:
 def encode(text: str, vocab: Vocabulary) -> TokenSequence:
     """Map each scalar value to its id; characters outside the vocabulary map to <unk>."""
     return [vocab.id_or_unk(ch) for ch in text]
+
+
+def encode_array(text: str, vocab: Vocabulary) -> np.ndarray:
+    """``encode(text, vocab)`` as a uint32 array, computed in bulk.
+
+    Each scalar value, lone surrogates included, is one UTF-32 code unit. Only
+    one-character tokens can match one; anything else maps to <unk>.
+    """
+    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
+    points, ids = vocab._code_table
+    # The last point lies above every code point, so each position is in range.
+    at = np.searchsorted(points, codes)
+    return np.where(points[at] == codes, ids[at], UNK_ID)
 
 
 def decode_tokens(ids: Iterable[int], vocab: Vocabulary) -> str:

@@ -9,10 +9,13 @@ and a finetuned model is bit-reproducible from its inputs.
 from __future__ import annotations
 
 import math
+import struct
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (
     BOS_ID,
@@ -26,7 +29,7 @@ from .core import (
     _Uniforms,
     apply_temperature,
     build_vocab,
-    encode,
+    encode_array,
     make_rng,
     parse_vocab_lines,
     read_lines,
@@ -40,6 +43,14 @@ MODEL_FORMAT_VERSION = 1
 # next_dist results are memoized per model; contexts repeat heavily during
 # generation, and models never change after training.
 _DIST_CACHE_LIMIT = 200_000
+
+# Training encodes and tallies records in groups of about this many
+# characters, so each group's arrays and key list stay small.
+_CHUNK_CHARS = 4096
+
+# Below this, adding a whole number n to a whole-number float count is exact,
+# and so equals n steps of += 1.0.
+_EXACT_INT = 2 ** 53
 
 
 class ModelFormatError(FormatError):
@@ -108,9 +119,8 @@ class NGramModel:
         self.vocab = vocab
         self.counts: dict[tuple[int, ...], dict[int, float]] = counts if counts is not None else {}
         self.provenance = provenance
-        self._totals: dict[tuple[int, ...], float] = {
-            ctx: float(sum(per_tok.values())) for ctx, per_tok in self.counts.items()
-        }
+        self._totals: dict[tuple[int, ...], float] = {}
+        self._refresh_totals(self.counts)
         self._dist_cache: dict[tuple[int, ...], Distribution] = {}
         # The add-k uniform every context without counts shares; it is kept
         # out of _dist_cache, so unseen contexts cost no cache entry.
@@ -133,6 +143,12 @@ class NGramModel:
 
     def __setstate__(self, state):
         self.__dict__.update(state)
+
+    def _refresh_totals(self, contexts) -> None:
+        # fsum is exact, so a total does not depend on the order its counts
+        # were added in, and a model equals its reloaded copy.
+        for ctx in contexts:
+            self._totals[ctx] = math.fsum(self.counts[ctx].values())
 
     def _pad_context(self, context) -> tuple[int, ...]:
         n1 = self.order - 1
@@ -164,29 +180,65 @@ class NGramModel:
             self._dist_cache[ctx] = dist
         return dist
 
-    def _add_stream(self, ids: TokenSequence, weight: float) -> None:
-        # Training-time only; the model must not have been published yet.
-        n1 = self.order - 1
-        padded = [BOS_ID] * n1 + list(ids) + [EOS_ID]
-        counts = self.counts
-        totals = self._totals
-        for i in range(n1, len(padded)):
-            ctx = tuple(padded[i - n1:i])
-            tok = padded[i]
-            per_tok = counts.get(ctx)
-            if per_tok is None:
-                per_tok = {}
-                counts[ctx] = per_tok
-                totals[ctx] = 0.0
-            per_tok[tok] = per_tok.get(tok, 0.0) + weight
-            totals[ctx] += weight
+
+def _record_groups(corpus: Corpus) -> Iterator[list[str]]:
+    """Each record's prompt+completion text, in groups of at least
+    _CHUNK_CHARS characters; the last group may hold fewer."""
+    group, size = [], 0
+    for prompt, completion in corpus.records:
+        group.append(prompt + completion)
+        size += len(group[-1])
+        if size >= _CHUNK_CHARS:
+            yield group
+            group, size = [], 0
+    if group:
+        yield group
 
 
 def _accumulate(model: NGramModel, corpus: Corpus, weight: float) -> None:
-    for i, (prompt, completion) in enumerate(corpus.records):
+    """Add weight for every (context, token) window of each record's
+    <bos>-padded, <eos>-terminated stream to model.counts, as if one
+    `+= weight` step were taken per window, record by record. The model must
+    not have been published yet."""
+    for i, (_, completion) in enumerate(corpus.records):
         if completion == "":
             raise ValueError(f"training record {i} has an empty completion")
-        model._add_stream(encode(prompt + completion, model.vocab), weight)
+    order = model.order
+    n1 = order - 1
+    # A window's key is its raw bytes. The Counter keeps keys in first-seen
+    # order, which is the order a window-by-window pass inserts contexts and,
+    # within each, tokens.
+    window_key = np.dtype((np.void, 4 * order))
+    tally: Counter = Counter()
+    for texts in _record_groups(corpus):
+        ids = encode_array("".join(texts), model.vocab)
+        lengths = np.fromiter(map(len, texts), np.int64, len(texts))
+        # Record r's segment is n1 <bos>, its ids, then <eos>, so its ids
+        # sit n1 + r * order places after their index in ids.
+        stream = np.full(len(ids) + order * len(texts), BOS_ID, dtype="<u4")
+        stream[np.arange(len(ids)) + np.repeat(np.arange(n1, order * len(texts), order),
+                                               lengths)] = ids
+        stream[np.cumsum(lengths + order) - 1] = EOS_ID
+        # <bos> is no one-character token, so encoded text never holds it and
+        # the windows that end on <bos> are exactly those that end on padding.
+        windows = sliding_window_view(stream, order)[stream[n1:] != BOS_ID]
+        tally.update(windows.view(window_key).ravel().tolist())
+    counts = model.counts
+    touched = {}  # the contexts whose totals change, in first-seen order
+    for window, n in zip(map(struct.Struct(f"<{order}I").unpack, tally), tally.values()):
+        ctx, tok = window[:-1], window[-1]
+        per_tok = counts.get(ctx)
+        if per_tok is None:
+            per_tok = counts[ctx] = {}
+        touched[ctx] = None
+        count = float(per_tok.get(tok, 0.0))  # a model may be given int counts
+        if weight == 1.0 and count.is_integer() and count + n <= _EXACT_INT:
+            count += n
+        else:
+            for _ in range(n):
+                count += weight
+        per_tok[tok] = count
+    model._refresh_totals(touched)
 
 
 def pretrain(corpus: Corpus, order: int, k: float = 0.5,

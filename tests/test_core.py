@@ -22,7 +22,8 @@ from specdesk import (
     save_vocab,
 )
 from specdesk.core import (_UNIFORM_BLOCK, ACCEPT_STREAM, DRAFT_STREAM, GENERATE_STREAM,
-                           RESERVED_TOKENS, _Uniforms, read_lines, read_sections, write_lines)
+                           RESERVED_TOKENS, _Uniforms, encode_array, read_lines, read_sections,
+                           write_lines)
 
 
 class FixedUniforms:
@@ -135,6 +136,24 @@ class TestEncodeDecode:
     def test_round_trip_reserved_free_text(self, text):
         v = build_vocab("abcxyz éж")
         assert decode_tokens(encode(text, v), v) == text
+
+    # Lone surrogates, a non-BMP character, reserved-token text and
+    # characters outside the vocabulary.
+    BULK_ALPHABET = ["a", "b", "<", "o", "s", ">", "ж", chr(0x1F600), chr(0xD83D),
+                     chr(0xDE00), chr(0xDFFF), "z", "\n"]
+
+    @given(st.text(alphabet=st.sampled_from(BULK_ALPHABET), max_size=60),
+           st.sampled_from(["", "ab<", "ab" + chr(0x1F600) + chr(0xD83D), "bos>ж\n"]))
+    def test_encode_array_equals_encode(self, text, known):
+        v = build_vocab(known)
+        ids = encode_array(text, v)
+        assert ids.dtype == np.uint32
+        assert ids.tolist() == encode(text, v)
+
+    def test_encode_array_never_matches_a_multi_character_token(self):
+        v = Vocabulary(RESERVED_TOKENS + ("ab", "a", "<bos>x"))
+        text = "ab<bos>x<bos>"
+        assert encode_array(text, v).tolist() == encode(text, v) == [4] + [UNK_ID] * 12
 
 
 class TestDistribution:

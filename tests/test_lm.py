@@ -1,6 +1,10 @@
+import tempfile
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from specdesk import (
     BOS_ID,
@@ -25,6 +29,8 @@ from specdesk import (
     save_model,
     truncate_corpus,
 )
+from specdesk import lm
+from specdesk.core import RESERVED_TOKENS, Vocabulary, encode_array
 
 AAB = Corpus((("", "aab"),))
 
@@ -66,6 +72,11 @@ class TestPretrainCounting:
     def test_empty_completion_rejected(self):
         with pytest.raises(ValueError):
             pretrain(Corpus((("prompt", ""),)), order=2)
+
+    def test_first_empty_completion_is_named(self):
+        corpus = Corpus((("a", "b"),) * 3 + (("p", ""), ("a", "b"), ("q", "")))
+        with pytest.raises(ValueError, match=r"^training record 3 has an empty completion$"):
+            pretrain(corpus, order=2)
 
     def test_order_below_one_rejected(self):
         with pytest.raises(ValueError):
@@ -159,6 +170,7 @@ class TestFinetune:
         m = aab_model()
         tuned = finetune(m, Corpus(()), weight=1.0)
         assert tuned.counts == m.counts
+        assert tuned._totals == m._totals
 
     def test_finetune_equals_concatenated_pretrain(self):
         corpus = Corpus((("", "aab"), ("a", "bb")))
@@ -209,9 +221,147 @@ class TestFinetune:
         with pytest.raises(ValueError):
             finetune(aab_model(), Corpus((("p", ""),)))
 
+    def test_rejected_corpus_leaves_the_model_untouched(self):
+        m = aab_model()
+        before = {ctx: dict(d) for ctx, d in m.counts.items()}
+        totals = dict(m._totals)
+        with pytest.raises(ValueError, match=r"^training record 1 has an empty completion$"):
+            finetune(m, Corpus((("", "ab"), ("a", ""), ("b", ""))), weight=0.5)
+        assert m.counts == before
+        assert m._totals == totals
+
     def test_provenance_chain(self):
         tuned = finetune(aab_model(), Corpus((("", "ab"),), langs=("de", "en")))
         assert tuned.provenance == "pretrained;finetuned:de-en"
+
+
+def reference_add_stream(counts, order, ids, weight):
+    """The token-by-token counting loop pretrain and finetune once ran: one
+    `+= weight` step per (context, token) window of the <bos>-padded,
+    <eos>-terminated stream."""
+    n1 = order - 1
+    padded = [BOS_ID] * n1 + list(ids) + [EOS_ID]
+    for i in range(n1, len(padded)):
+        per_tok = counts.setdefault(tuple(padded[i - n1:i]), {})
+        per_tok[padded[i]] = per_tok.get(padded[i], 0.0) + weight
+
+
+def reference_train(model, corpus, weight, provenance):
+    # The totals come from NGramModel, which sums each context's counts.
+    counts = {ctx: dict(per_tok) for ctx, per_tok in model.counts.items()}
+    for prompt, completion in corpus.records:
+        reference_add_stream(counts, model.order, encode(prompt + completion, model.vocab),
+                             weight)
+    return NGramModel(model.order, model.k, model.vocab, counts, provenance)
+
+
+def model_bytes(model):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "m.model"
+        save_model(model, path)
+        return path.read_bytes()
+
+
+def assert_same_model(bulk, reference):
+    """Equal counts, in equal context and token order, equal totals in equal
+    order, and equal saved bytes."""
+    assert list(bulk.counts) == list(reference.counts)
+    for ctx, per_tok in bulk.counts.items():
+        assert list(per_tok.items()) == list(reference.counts[ctx].items())
+        assert all(type(count) is float for count in per_tok.values())
+    assert list(bulk._totals.items()) == list(reference._totals.items())
+    assert model_bytes(bulk) == model_bytes(reference)
+
+
+# Characters outside the vocabulary, a non-BMP character, lone surrogates and
+# the characters of literal <bos> text.
+BULK_CHARS = ["a", "b", "c", "ж", "<", "o", "s", ">", chr(0x1F600), chr(0xD83D), chr(0xDE00),
+              chr(0xDFFF), "z"]
+bulk_text = st.lists(st.sampled_from(BULK_CHARS + ["<bos>", "<eos>"]), max_size=10).map("".join)
+bulk_record = st.tuples(bulk_text, bulk_text.filter(bool))
+
+
+class TestBulkCounting:
+    """pretrain and finetune count a group of records at a time; the result
+    must be the token-by-token reference's, bit for bit."""
+
+    @settings(max_examples=100)
+    @given(order=st.integers(1, 6),
+           known=st.sampled_from(["abc<bos>", "ab" + chr(0x1F600), "", "multi"]),
+           records=st.lists(bulk_record, min_size=1, max_size=8),
+           tunes=st.lists(st.tuples(st.lists(bulk_record, max_size=6),
+                                    st.sampled_from([1.0, 0.5, 0.3, 2.7, 1e-9])),
+                          max_size=3),
+           repeat=st.sampled_from([1, 40]),
+           chunk=st.sampled_from([lm._CHUNK_CHARS, 1, 5]))
+    def test_equals_token_by_token_reference(self, order, known, records, tunes, repeat,
+                                             chunk):
+        if known == "multi":
+            vocab = Vocabulary(RESERVED_TOKENS + ("ab", "a", "<bos>x", "c", chr(0x1F600)))
+        else:
+            vocab = build_vocab(known)
+        corpus = Corpus(tuple(records) * repeat)
+        for prompt, completion in corpus.records:
+            text = prompt + completion
+            assert encode_array(text, vocab).tolist() == encode(text, vocab)
+        with mock.patch.object(lm, "_CHUNK_CHARS", chunk):
+            bulk = pretrain(corpus, order, k=0.5, vocab=vocab)
+            reference = reference_train(NGramModel(order, 0.5, vocab), corpus, 1.0,
+                                        bulk.provenance)
+            assert_same_model(bulk, reference)
+            for tune_records, weight in tunes:
+                tune = Corpus(tuple(tune_records) * repeat)
+                for w in (weight, 0.7):
+                    bulk = finetune(bulk, tune, w)
+                    reference = reference_train(reference, tune, w, bulk.provenance)
+                    assert_same_model(bulk, reference)
+
+    def test_records_longer_than_and_across_chunk_boundaries(self):
+        # One record several chunks long, then records of 301 characters,
+        # which cross the chunk size at varying offsets.
+        chunk = lm._CHUNK_CHARS
+        long = ("ab" * chunk + "c", "abc" * chunk)
+        records = (long,) + tuple((("ab" * 50)[:i % 50], "c" * (301 - i % 50))
+                                  for i in range(60)) + (long,)
+        corpus = Corpus(records)
+        vocab = build_vocab("abc")
+        for order in (1, 3, 6):
+            bulk = pretrain(corpus, order, k=0.5, vocab=vocab)
+            reference = reference_train(NGramModel(order, 0.5, vocab), corpus, 1.0,
+                                        bulk.provenance)
+            assert_same_model(bulk, reference)
+            tuned = finetune(bulk, corpus, 0.3)
+            assert_same_model(tuned, reference_train(reference, corpus, 0.3, tuned.provenance))
+
+    def test_weight_one_on_a_fractional_count_steps_one_at_a_time(self):
+        # 35 steps of += 1.0 from 5e-09 give 35.000000005000004, not
+        # 5e-09 + 35, so a pair's tally is added at once only to whole counts.
+        vocab = build_vocab("a")
+        a = vocab.lookup("a")
+        base = NGramModel(2, 0.5, vocab, {(BOS_ID,): {a: 5e-09}})
+        corpus = Corpus((("", "a"),) * 35)
+        tuned = finetune(base, corpus, 1.0)
+        assert tuned.counts[(BOS_ID,)] == {a: 35.000000005000004}
+        assert_same_model(tuned, reference_train(base, corpus, 1.0, tuned.provenance))
+
+    def test_int_counts_continue_as_floats(self):
+        vocab = build_vocab("a")
+        base = NGramModel(2, 0.5, vocab, {(BOS_ID,): {vocab.lookup("a"): 3}})
+        corpus = Corpus((("", "a"),) * 2)
+        for weight in (1.0, 0.3):
+            tuned = finetune(base, corpus, weight)
+            assert_same_model(tuned, reference_train(base, corpus, weight, tuned.provenance))
+
+    def test_totals_equal_the_reloaded_models(self, tmp_path):
+        # Sums of non-integer counts depend on the order they are added in;
+        # the total is defined as their exact sum, which does not.
+        corpus = Corpus((("", "acb cacbccbc"),))
+        model = pretrain(corpus, order=2, k=0.5)
+        for weight in (0.3, 0.7, 1.1, 2.3):
+            model = finetune(model, corpus, weight)
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        assert load_model(path)._totals == model._totals
 
 
 class TestGenerate:
