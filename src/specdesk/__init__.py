@@ -8,19 +8,12 @@ harness, and heuristic drafter routing.
 
 from ._version import __version__
 from .core import (
-    ACCEPT_STREAM,
-    BENCH_STREAM,
     BOS_ID,
-    DISTILL_STREAM,
-    DRAFT_STREAM,
     EOS_ID,
-    GENERATE_STREAM,
-    RESERVED_TOKENS,
     UNK_ID,
     Distribution,
     FormatError,
     SamplerConfig,
-    TokenSequence,
     Vocabulary,
     apply_temperature,
     argmax,
@@ -62,8 +55,6 @@ from .specdec import (
     verify_stochastic,
 )
 from .distill import (
-    DEFAULT_TEMPERATURES,
-    LANGUAGE_NAMES,
     DistillJob,
     make_prompt,
     self_distill,
@@ -76,7 +67,6 @@ from .bench import (
     GridResult,
     ReportTable,
     ScalingCurve,
-    WallclockResult,
     acceptance_rate,
     cost_speedup,
     emit_report,
@@ -85,6 +75,5 @@ from .bench import (
     run_grid,
     scaling_curve,
     spearman,
-    wallclock_speedup,
 )
 from .routing import DrafterRegistry, detect_source_language, load_registry, select_drafter

@@ -2,7 +2,7 @@
 
 The primary speedup metric is hardware-independent: a cost model charges one
 unit per target call and c units per drafter call, so trends are exactly
-reproducible. Wall-clock timing is available but advisory only.
+reproducible.
 """
 
 from __future__ import annotations
@@ -10,17 +10,17 @@ from __future__ import annotations
 import csv
 import io
 import math
-import time
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from ._version import __version__
-from .core import BENCH_STREAM, SamplerConfig, derive_seed, encode, write_lines
-from .lm import Corpus, NGramModel, finetune, generate, truncate_corpus
+from .core import BENCH_STREAM, derive_seed, encode, write_lines
+# generate is not called here; specbench's tracer patches bench.generate.
+from .lm import Corpus, NGramModel, finetune, generate, truncate_corpus  # noqa: F401
 from .specdec import DecodeStats, SpecConfig, VocabularyMismatchError, decode_speculative
 
 GRID_COLUMNS = ("drafter", "corpus", "temperature", "K", "seed_count",
@@ -206,21 +206,17 @@ def _check_max_prompts(max_prompts: Optional[int]) -> None:
         raise ValueError(f"max_prompts must be >= 1 (or unset for all), got {max_prompts!r}")
 
 
-def _bench_prompts(corpus: Corpus, vocab, seed: int, max_prompts: Optional[int]):
-    """(encoded prompt, per-prompt seed) for each of the first max_prompts
-    prompts (all when None) in corpus order; prompt i is decoded with
-    derive_seed(seed, BENCH_STREAM, i)."""
-    for pi, (prompt_text, _) in enumerate(corpus.records[:max_prompts]):
-        yield encode(prompt_text, vocab), derive_seed(seed, BENCH_STREAM, pi)
-
-
 def _decode_corpus(target: NGramModel, drafter: NGramModel, corpus: Corpus,
                    draft_len: int, temperature: float, max_new_tokens: int,
                    seed: int, max_prompts: Optional[int]) -> DecodeStats:
+    """Decode the first max_prompts prompts (all when None) in corpus order;
+    prompt i is decoded with derive_seed(seed, BENCH_STREAM, i)."""
     runs = []
-    for ids, prompt_seed in _bench_prompts(corpus, target.vocab, seed, max_prompts):
+    for pi, (prompt_text, _) in enumerate(corpus.records[:max_prompts]):
+        ids = encode(prompt_text, target.vocab)
         cfg = SpecConfig(draft_len=draft_len, temperature=temperature,
-                         max_new_tokens=max_new_tokens, seed=prompt_seed)
+                         max_new_tokens=max_new_tokens,
+                         seed=derive_seed(seed, BENCH_STREAM, pi))
         runs.append(decode_speculative(target, drafter, ids, cfg)[1])
     return merge_stats(runs)
 
@@ -386,42 +382,6 @@ def scaling_curve(target: NGramModel, drafter_base: NGramModel, finetune_corpus:
     rho_acc = spearman(log_budgets, [p.mean_accepted for p in points])
     rho_spd = spearman(log_budgets, [p.cost_speedup for p in points])
     return ScalingCurve(tuple(points), rho_acc, rho_spd, len(cfg.seeds))
-
-
-@dataclass(frozen=True)
-class WallclockResult:
-    """Advisory wall-clock comparison; hardware-dependent, never a gate."""
-
-    speedup: float
-    std: float
-    baseline_ns: tuple[int, ...]
-    speculative_ns: tuple[int, ...]
-
-
-def wallclock_speedup(target: NGramModel, drafter: NGramModel, corpus: Corpus,
-                      cfg: SpecConfig, repetitions: int = 3,
-                      max_prompts: Optional[int] = None) -> WallclockResult:
-    """Median wall time of plain autoregressive decoding divided by that of
-    speculative decoding over identical prompts and derived seeds."""
-    if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
-    _check_max_prompts(max_prompts)
-    prompts = list(_bench_prompts(corpus, target.vocab, cfg.seed, max_prompts))
-    base_times = []
-    spec_times = []
-    for _ in range(repetitions):
-        start = time.perf_counter_ns()
-        for ids, seed in prompts:
-            generate(target, ids, SamplerConfig(cfg.temperature, seed), cfg.max_new_tokens)
-        base_times.append(time.perf_counter_ns() - start)
-        start = time.perf_counter_ns()
-        for ids, seed in prompts:
-            decode_speculative(target, drafter, ids, replace(cfg, seed=seed))
-        spec_times.append(time.perf_counter_ns() - start)
-    ratios = [b / s for b, s in zip(base_times, spec_times)]
-    speedup = float(np.median(base_times) / np.median(spec_times))
-    return WallclockResult(speedup=speedup, std=float(np.std(ratios)),
-                           baseline_ns=tuple(base_times), speculative_ns=tuple(spec_times))
 
 
 def _format_value(value) -> str:

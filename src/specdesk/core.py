@@ -343,10 +343,11 @@ def read_lines(path) -> list[str]:
 
 def write_lines(path, lines: Iterable[str]) -> None:
     """Write each line followed by '\\n', UTF-8, the same bytes on every
-    platform; no lines give an empty file, which read_lines reads back as []."""
+    platform; no lines give an empty file, which read_lines reads back as [].
+    The text is encoded before the file is opened, so text that cannot be
+    encoded (a lone surrogate) raises and leaves the path as it was."""
     lines = list(lines)
-    Path(path).write_text("\n".join(lines) + "\n" if lines else "", encoding="utf-8",
-                          newline="\n")
+    Path(path).write_bytes(("\n".join(lines) + "\n" if lines else "").encode("utf-8"))
 
 
 def vocab_lines(vocab: Vocabulary) -> list[str]:
@@ -358,11 +359,16 @@ def vocab_lines(vocab: Vocabulary) -> list[str]:
 
 
 def parse_vocab_lines(lines: list[str]) -> Vocabulary:
-    """Inverse of vocab_lines; raises FormatError on a malformed block."""
+    """Inverse of vocab_lines; raises FormatError on a malformed block,
+    including a token line that does not unescape to exactly one character."""
     if tuple(lines[:3]) != RESERVED_TOKENS:
         raise FormatError("vocabulary block must start with the reserved header lines")
+    tokens = tuple(_unescape_token(line) for line in lines[3:])
+    for token in tokens:
+        if len(token) != 1:
+            raise FormatError(f"vocabulary token {token!r} is not one character")
     try:
-        return Vocabulary(RESERVED_TOKENS + tuple(_unescape_token(line) for line in lines[3:]))
+        return Vocabulary(RESERVED_TOKENS + tokens)
     except ValueError as exc:
         raise FormatError(str(exc)) from exc
 

@@ -141,9 +141,6 @@ class NGramModel:
         state["_dist_cache"] = {}
         return state
 
-    def __setstate__(self, state):
-        self.__dict__.update(state)
-
     def _refresh_totals(self, contexts) -> None:
         # fsum is exact, so a total does not depend on the order its counts
         # were added in, and a model equals its reloaded copy.

@@ -12,7 +12,6 @@ target-only greedy decoding.
 
 from __future__ import annotations
 
-import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
@@ -124,14 +123,13 @@ class DecodeStats:
     truncated_tokens: int = 0
     target_calls: int = 0
     drafter_calls: int = 0
-    wall_time_ns: Optional[int] = None
     draft_len: int = 0
     temperature: float = 0.0
     max_new_tokens: int = 0
     seed: int = 0
 
-    def to_dict(self, include_timing: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "cycles": self.cycles,
             "accepted_per_cycle": list(self.accepted_per_cycle),
             "emitted_tokens": self.emitted_tokens,
@@ -143,9 +141,6 @@ class DecodeStats:
             "max_new_tokens": self.max_new_tokens,
             "seed": self.seed,
         }
-        if include_timing:
-            out["wall_time_ns"] = self.wall_time_ns
-        return out
 
 
 def draft(drafter: NGramModel, context: Sequence[int], draft_len: int,
@@ -297,7 +292,6 @@ def decode_speculative(target: NGramModel, drafter: NGramModel,
                         max_new_tokens=cfg.max_new_tokens, seed=cfg.seed)
     context = list(prompt)
     out: TokenSequence = []
-    started = time.perf_counter_ns()
     finished = False
     while not finished and len(out) < cfg.max_new_tokens:
         d = draft(drafter, context, cfg.draft_len, cfg.temperature, draft_rng)
@@ -324,5 +318,4 @@ def decode_speculative(target: NGramModel, drafter: NGramModel,
             out.append(token)
             context.append(token)
             stats.emitted_tokens += 1
-    stats.wall_time_ns = time.perf_counter_ns() - started
     return out, stats

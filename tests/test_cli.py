@@ -195,6 +195,13 @@ class TestExitCodes:
                            "--drafter", "target_de.model", "--prompt", "x", cwd=ws)
             assert proc.returncode == 4
 
+    def test_vocab_token_not_one_character_is_4(self, ws):
+        (ws / "multi.vocab").write_text("<bos>\n<eos>\n<unk>\na\nab\n\n", encoding="utf-8")
+        proc = run_cli("train", "pretrain", "--corpus", "de.tsv", "--vocab", "multi.vocab",
+                       "--out", "multi.model", cwd=ws)
+        assert proc.returncode == 4
+        assert not (ws / "multi.model").exists()
+
 
 class TestDistillCommand:
     def test_writes_corpus_with_meta(self, ws):

@@ -106,6 +106,14 @@ class TestVocabulary:
         with pytest.raises(FormatError):
             load_vocab(path)
 
+    def test_load_rejects_tokens_that_are_not_one_character(self, tmp_path):
+        # "\\n\\n" unescapes to two newlines
+        path = tmp_path / "bad.vocab"
+        for bad in ("ab", "", "\\n\\n"):
+            path.write_text(f"<bos>\n<eos>\n<unk>\na\n{bad}\n", encoding="utf-8")
+            with pytest.raises(FormatError, match="not one character"):
+                load_vocab(path)
+
 
 class TestEncodeDecode:
     def test_encode_empty(self):

@@ -475,6 +475,26 @@ class TestModelPersistence:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
+    def test_vocabulary_token_of_two_characters_is_malformed(self, tmp_path):
+        path = tmp_path / "m.model"
+        save_model(aab_model(), path)
+        content = path.read_text(encoding="utf-8").replace("\n<unk>\na\n", "\n<unk>\nab\n", 1)
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(ModelFormatError, match="not one character"):
+            load_model(path)
+
+    def test_unencodable_model_leaves_the_path_as_it_was(self, tmp_path):
+        # A lone surrogate has no UTF-8 encoding; the save must fail before
+        # the file is opened, so nothing is created or truncated.
+        model = pretrain(Corpus((("", "a" + chr(0xD800)),)), order=2)
+        fresh, existing = tmp_path / "fresh.model", tmp_path / "existing.model"
+        existing.write_bytes(b"earlier contents\n")
+        for path in (fresh, existing):
+            with pytest.raises(ValueError):
+                save_model(model, path)
+        assert not fresh.exists()
+        assert existing.read_bytes() == b"earlier contents\n"
+
 
     def _saved_with_counts(self, tmp_path, mutate):
         """aab_model as written by save_model, its count lines passed through
