@@ -313,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     train_sub = train.add_subparsers(dest="subcmd", required=True)
     tp = train_sub.add_parser("pretrain", parents=[common], help="train a model from scratch")
     tp.add_argument("--corpus", help="training corpus TSV")
-    tp.add_argument("--order", type=int, help="n-gram order (default 2)")
+    tp.add_argument("--order", type=int, help="n-gram order, 1 to 64 (default 2)")
     tp.add_argument("--k", type=float, help="add-k smoothing constant (default 0.5)")
     tp.add_argument("--vocab", help="shared vocabulary file (default: build from corpus)")
     tp.add_argument("--out", help="output model file")

@@ -252,9 +252,10 @@ def check_temperature(temperature: float) -> None:
 def apply_temperature(d: Distribution, temperature: float) -> Distribution:
     """Temperature transform: T=0 is an exact argmax one-hot, T=1 the identity,
     otherwise entries are raised to 1/T and renormalized (computed in log space
-    so extreme temperatures cannot underflow the whole vector). The result is
-    memoised on ``d``, one entry per temperature, and a repeat call returns
-    the same object."""
+    so extreme temperatures cannot underflow the whole vector). A temperature
+    so small that every entry overflows gives the T -> 0+ limit: the argmax
+    ties share the mass equally. The result is memoised on ``d``, one entry
+    per temperature, and a repeat call returns the same object."""
     tempered = d._tempered
     if tempered is not None:
         # Only temperatures that passed check_temperature are ever stored.
@@ -270,11 +271,18 @@ def apply_temperature(d: Distribution, temperature: float) -> Distribution:
         probs = d.probs
         if not np.any(probs > 0):
             raise ValueError("cannot rescale an all-zero distribution")
-        with np.errstate(divide="ignore"):
-            logp = np.log(probs)
-        scaled = logp / temperature
-        scaled -= scaled.max()
-        w = np.exp(scaled)
+        # A tiny temperature overflows logp / temperature to -inf; the
+        # values are the same with the warning ignored.
+        with np.errstate(divide="ignore", over="ignore"):
+            scaled = np.log(probs) / temperature
+        top = scaled.max()
+        if np.isfinite(top):
+            scaled -= top
+            w = np.exp(scaled)
+        else:
+            # Every entry overflowed: take the T -> 0+ limit, which shares
+            # the mass equally among the argmax ties.
+            w = (probs == probs.max()).astype(np.float64)
         out = Distribution(w / w.sum())
     if tempered is None:
         tempered = {}

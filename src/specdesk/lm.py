@@ -40,6 +40,10 @@ from .core import (
 
 MODEL_FORMAT_VERSION = 1
 
+# The highest n-gram order a model may have, far above any useful character
+# model; training keys each window by its 4 * order bytes.
+MAX_ORDER = 64
+
 # next_dist results are memoized per model; contexts repeat heavily during
 # generation, and models never change after training.
 _DIST_CACHE_LIMIT = 200_000
@@ -110,8 +114,8 @@ class NGramModel:
 
     def __init__(self, order: int, k: float, vocab: Vocabulary,
                  counts: Optional[dict] = None, provenance: str = "untrained"):
-        if order < 1:
-            raise ValueError("order must be >= 1")
+        if not 1 <= order <= MAX_ORDER:
+            raise ValueError(f"order must be between 1 and {MAX_ORDER}, got {order}")
         if not 0.0 < k < math.inf:
             raise ValueError(f"smoothing k must be finite and > 0, got {k!r}")
         self.order = int(order)

@@ -55,7 +55,7 @@ class SpecConfig:
             raise ValueError("max_new_tokens must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Draft:
     """A drafted token block plus the (post-temperature) drafter distributions
     each token was sampled from."""
@@ -79,15 +79,15 @@ class Draft:
         """A draft whose tokens were sampled from their own distributions, so
         each has positive probability; skips the per-token re-check."""
         d = object.__new__(cls)
-        object.__setattr__(d, "tokens", tokens)
-        object.__setattr__(d, "dists", dists)
+        _set_tokens(d, tokens)
+        _set_dists(d, dists)
         return d
 
     def __len__(self) -> int:
         return len(self.tokens)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VerificationOutcome:
     """Result of verifying one draft: length of the accepted prefix plus either
     a correction token (after a rejection) or a bonus token (full acceptance)."""
@@ -100,11 +100,30 @@ class VerificationOutcome:
         if (self.correction is None) == (self.bonus is None):
             raise ValueError("exactly one of correction/bonus must be present")
 
+    @classmethod
+    def _trusted(cls, accepted_count: int, correction: Optional[int],
+                 bonus: Optional[int]) -> "VerificationOutcome":
+        """An outcome built by a verifier, which sets exactly one of
+        correction and bonus; skips the re-check."""
+        o = object.__new__(cls)
+        _set_accepted_count(o, accepted_count)
+        _set_correction(o, correction)
+        _set_bonus(o, bonus)
+        return o
+
     def emitted(self, draft: Draft) -> TokenSequence:
         """Tokens this cycle contributes, in order: accepted prefix then the
         correction or bonus token (always accepted_count + 1 tokens)."""
         extra = self.correction if self.correction is not None else self.bonus
         return list(draft.tokens[: self.accepted_count]) + [extra]
+
+
+# The slots' own setters, which the frozen classes' __setattr__ does not
+# guard; the trusted constructors fill a new instance through them.
+_set_tokens, _set_dists = Draft.tokens.__set__, Draft.dists.__set__
+_set_accepted_count, _set_correction, _set_bonus = (
+    VerificationOutcome.accepted_count.__set__, VerificationOutcome.correction.__set__,
+    VerificationOutcome.bonus.__set__)
 
 
 @dataclass(slots=True)
@@ -150,18 +169,21 @@ def draft(drafter: NGramModel, context: Sequence[int], draft_len: int,
     stops early once <eos> is drafted (the <eos> token is kept in the draft)."""
     if draft_len < 1:
         raise ValueError("draft_len must be >= 1")
-    ctx = list(context)
-    tokens = []
+    # next_dist reads at most the last order - 1 ids of a context (fewer are
+    # padded), so the tail stands in for the whole context.
+    n1 = drafter.order - 1
+    ctx = list(context[-n1:]) if n1 else []
+    start = len(ctx)
+    next_dist = drafter.next_dist
     dists = []
     for _ in range(draft_len):
-        dist = apply_temperature(drafter.next_dist(ctx), temperature)
-        token = sample(dist, rng)
-        tokens.append(token)
+        dist = apply_temperature(next_dist(ctx), temperature)
         dists.append(dist)
+        token = sample(dist, rng)
+        ctx.append(token)
         if token == EOS_ID:
             break
-        ctx.append(token)
-    return Draft._trusted(tuple(tokens), tuple(dists))
+    return Draft._trusted(tuple(ctx[start:]), tuple(dists))
 
 
 class _TargetRows(Sequence):
@@ -186,13 +208,16 @@ class _TargetRows(Sequence):
         return len(self._rows)
 
     def __getitem__(self, j):
-        if isinstance(j, slice):
+        if j.__class__ is slice:
             return [self[i] for i in range(*j.indices(len(self._rows)))]
         row = self._rows[j]
         if row is None:
             j %= len(self._rows)
-            row = apply_temperature(self._target.next_dist(self._tail + self._tokens[:j]),
-                                    self._temperature)
+            # Once j reaches order - 1, the last order - 1 draft tokens are
+            # the whole context, so a row's context never grows with K.
+            n1 = self._target.order - 1
+            ctx = self._tail + self._tokens[:j] if j <= n1 else self._tokens[j - n1:j]
+            row = apply_temperature(self._target.next_dist(ctx), self._temperature)
             self._rows[j] = row
         return row
 
@@ -237,39 +262,40 @@ def verify_stochastic(d: Draft, target_dists: Sequence[Distribution], rng) -> Ve
     """Rejection-sampling verification for temperature > 0.
 
     Scans positions in order, drawing one uniform r per examined position from
-    the acceptance stream; token x is accepted iff r < min(1, q(x)/p(x)). On
-    the first rejection the correction token is sampled from the residual
-    (q - p)+; if every position is accepted the bonus token is sampled from
-    the final target distribution. The residual or bonus draw consumes the
-    next uniform(s) from the same stream.
+    the acceptance stream; token x is accepted iff r < q(x)/p(x), the same
+    test as r < min(1, q(x)/p(x)) because r < 1. On the first rejection the
+    correction token is sampled from the residual (q - p)+; if every position
+    is accepted the bonus token is sampled from the final target
+    distribution. The residual or bonus draw consumes the next uniform(s)
+    from the same stream.
     """
-    if len(target_dists) != len(d) + 1:
+    tokens, dists = d.tokens, d.dists
+    if len(target_dists) != len(tokens) + 1:
         raise ValueError("need exactly len(draft) + 1 target distributions")
-    for j, token in enumerate(d.tokens):
-        p_tok = d.dists[j].p(token)
+    for j, token in enumerate(tokens):
+        p = dists[j]
+        p_tok = p.probs.item(token)
         if p_tok <= 0.0:
             raise ValueError(f"draft token {j} has zero drafter probability")
-        q_tok = target_dists[j].p(token)
-        r = rng.random()
-        if r < min(1.0, q_tok / p_tok):
+        q = target_dists[j]
+        if rng.random() < q.probs.item(token) / p_tok:
             continue
-        correction = sample(residual_dist(target_dists[j], d.dists[j]), rng)
-        return VerificationOutcome(accepted_count=j, correction=correction)
-    bonus = sample(target_dists[-1], rng)
-    return VerificationOutcome(accepted_count=len(d), bonus=bonus)
+        return VerificationOutcome._trusted(j, sample(residual_dist(q, p), rng), None)
+    return VerificationOutcome._trusted(len(tokens), None, sample(target_dists[-1], rng))
 
 
 def verify_greedy(d: Draft, target_dists: Sequence[Distribution]) -> VerificationOutcome:
     """Greedy verification for temperature 0: accept the longest prefix whose
     tokens equal the target argmax at each position; the correction or bonus
     token is the target argmax at the first mismatch or past the end."""
-    if len(target_dists) != len(d) + 1:
+    tokens = d.tokens
+    if len(target_dists) != len(tokens) + 1:
         raise ValueError("need exactly len(draft) + 1 target distributions")
-    for j, token in enumerate(d.tokens):
+    for j, token in enumerate(tokens):
         top = argmax(target_dists[j])
         if token != top:
-            return VerificationOutcome(accepted_count=j, correction=top)
-    return VerificationOutcome(accepted_count=len(d), bonus=argmax(target_dists[-1]))
+            return VerificationOutcome._trusted(j, top, None)
+    return VerificationOutcome._trusted(len(tokens), None, argmax(target_dists[-1]))
 
 
 def decode_speculative(target: NGramModel, drafter: NGramModel,
@@ -286,36 +312,46 @@ def decode_speculative(target: NGramModel, drafter: NGramModel,
         raise VocabularyMismatchError("target and drafter must share one vocabulary")
     draft_rng = _Uniforms(make_rng(cfg.seed, DRAFT_STREAM))
     # Greedy verification draws nothing, so T=0 builds no acceptance stream.
-    greedy = cfg.temperature == 0.0
+    temperature = cfg.temperature
+    greedy = temperature == 0.0
     accept_rng = None if greedy else _Uniforms(make_rng(cfg.seed, ACCEPT_STREAM))
-    stats = DecodeStats(draft_len=cfg.draft_len, temperature=cfg.temperature,
-                        max_new_tokens=cfg.max_new_tokens, seed=cfg.seed)
+    draft_len = cfg.draft_len
+    # The continuation is context[start:]; decoding stops once it reaches limit.
     context = list(prompt)
-    out: TokenSequence = []
-    finished = False
-    while not finished and len(out) < cfg.max_new_tokens:
-        d = draft(drafter, context, cfg.draft_len, cfg.temperature, draft_rng)
-        target_dists = score_parallel(target, context, d, cfg.temperature)
+    start = len(context)
+    limit = start + cfg.max_new_tokens
+    accepted_per_cycle = []
+    drafted = 0
+    eos = False
+    while True:
+        d = draft(drafter, context, draft_len, temperature, draft_rng)
+        target_dists = score_parallel(target, context, d, temperature)
         if greedy:
             outcome = verify_greedy(d, target_dists)
         else:
             outcome = verify_stochastic(d, target_dists, accept_rng)
-        stats.cycles += 1
-        stats.target_calls += 1
-        stats.drafter_calls += len(d)
-        stats.accepted_per_cycle.append(outcome.accepted_count)
-        cycle_tokens = outcome.emitted(d)
-        for idx, token in enumerate(cycle_tokens):
-            if token == EOS_ID:
-                stats.emitted_tokens += 1
-                stats.truncated_tokens += len(cycle_tokens) - idx - 1
-                finished = True
-                break
-            if len(out) >= cfg.max_new_tokens:
-                stats.truncated_tokens += len(cycle_tokens) - idx
-                finished = True
-                break
-            out.append(token)
-            context.append(token)
-            stats.emitted_tokens += 1
-    return out, stats
+        tokens = d.tokens
+        drafted += len(tokens)
+        n = outcome.accepted_count
+        accepted_per_cycle.append(n)
+        extra = outcome.correction
+        cycle = tokens[:n] + (extra if extra is not None else outcome.bonus,)
+        # Keep the cycle up to its first <eos> or the remaining budget; an
+        # <eos> right after the last token the budget allows still counts.
+        room = limit - len(context)
+        if EOS_ID in cycle and cycle.index(EOS_ID) <= room:
+            eos = True
+            context += cycle[:cycle.index(EOS_ID)]
+            break
+        context += cycle[:room]
+        if len(context) >= limit:
+            break
+    cycles = len(accepted_per_cycle)
+    emitted = len(context) - start + eos
+    stats = DecodeStats(cycles=cycles, accepted_per_cycle=accepted_per_cycle,
+                        emitted_tokens=emitted,
+                        truncated_tokens=sum(accepted_per_cycle) + cycles - emitted,
+                        target_calls=cycles, drafter_calls=drafted, draft_len=draft_len,
+                        temperature=temperature, max_new_tokens=cfg.max_new_tokens,
+                        seed=cfg.seed)
+    return context[start:], stats

@@ -188,6 +188,32 @@ class TestExitCodes:
             assert proc.returncode == 6
             assert proc.stdout == ""
 
+    def test_tiny_decode_temperature_decodes_silently(self, ws):
+        for t in ("1e-320", "1e-309", "1e-308"):
+            proc = run_cli("decode", "--target", "target_de.model", "--drafter",
+                           "drafter_de.model", "--prompt", "Translate German to English: haus",
+                           "--T", t, "--max-new", "16", "--stats", cwd=ws)
+            assert proc.returncode == 0, proc.stderr
+            assert proc.stderr == ""
+            assert json.loads(proc.stdout.splitlines()[-1])["temperature"] == float(t)
+
+    def test_order_above_the_maximum_is_4_in_a_file_and_6_as_a_flag(self, ws):
+        huge = "4611686018427387904"
+        lines = (ws / "base.model").read_text(encoding="utf-8").split("\n")
+        end = next(i for i, line in enumerate(lines) if line.startswith("counts="))
+        lines[1] = f"order={huge}"
+        (ws / "huge.model").write_text("\n".join(lines[:end] + ["counts=0", ""]),
+                                       encoding="utf-8")
+        proc = run_cli("decode", "--target", "huge.model", "--drafter", "huge.model",
+                       "--prompt", "x", cwd=ws)
+        assert proc.returncode == 4, proc.stderr
+        assert "order must be between 1 and" in proc.stderr
+        proc = run_cli("train", "pretrain", "--corpus", "de.tsv", "--vocab", "shared.vocab",
+                       "--order", huge, "--out", "huge_trained.model", cwd=ws)
+        assert proc.returncode == 6, proc.stderr
+        assert proc.stderr.startswith("error: invalid:") and huge in proc.stderr
+        assert not (ws / "huge_trained.model").exists()
+
     def test_bad_config_is_4(self, ws):
         for text in ("[decode]\nK = 3\nK = 4\n", "K = 3\n[decode]\n"):
             (ws / "bad.cfg").write_text(text, encoding="utf-8")

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -226,6 +228,18 @@ class TestApplyTemperature:
         d = Distribution(np.array([0.9, 0.1 - 1e-12, 1e-12]))
         out = apply_temperature(d, 0.01)
         assert abs(out.probs.sum() - 1.0) < 1e-9
+
+    def test_tiny_temperature_gives_the_limit_without_warnings(self):
+        # At 1e-320 every log-probability over T overflows to -inf, so the
+        # result is the T -> 0+ limit: argmax ties share the mass equally.
+        ties = Distribution(np.array([0.4, 0.1, 0.4, 0.1]))
+        single = Distribution(np.array([0.9, 0.1 - 1e-12, 1e-12]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.array_equal(apply_temperature(ties, 1e-320).probs, [0.5, 0.0, 0.5, 0.0])
+            assert np.array_equal(apply_temperature(single, 1e-320).probs, [1.0, 0.0, 0.0])
+            # At 1e-308 only the 1e-12 entry overflows; the value is unchanged.
+            assert np.array_equal(apply_temperature(single, 1e-308).probs, [1.0, 0.0, 0.0])
 
     def test_preserves_argmax_for_positive_t(self):
         rng = np.random.default_rng(7)

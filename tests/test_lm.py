@@ -82,6 +82,14 @@ class TestPretrainCounting:
         with pytest.raises(ValueError):
             pretrain(AAB, order=0)
 
+    def test_order_above_the_maximum_rejected(self):
+        huge = 4611686018427387904
+        with pytest.raises(ValueError, match=f"between 1 and {lm.MAX_ORDER}, got {huge}$"):
+            pretrain(AAB, order=huge)
+        with pytest.raises(ValueError):
+            NGramModel(lm.MAX_ORDER + 1, 1.0, build_vocab("ab"))
+        assert NGramModel(lm.MAX_ORDER, 1.0, build_vocab("ab")).order == lm.MAX_ORDER
+
     def test_nonpositive_k_rejected(self):
         with pytest.raises(ValueError):
             pretrain(AAB, order=2, k=0.0)
@@ -533,6 +541,14 @@ class TestModelPersistence:
     def test_unsorted_count_lines_are_malformed(self, tmp_path):
         path = self._saved_with_counts(tmp_path, lambda body: [body[1], body[0]] + body[2:])
         with pytest.raises(ModelFormatError):
+            load_model(path)
+
+    def test_order_above_the_maximum_is_malformed(self, tmp_path):
+        path = self._saved_with_counts(tmp_path, lambda body: [])
+        content = path.read_text(encoding="utf-8").replace(
+            "\norder=2\n", "\norder=4611686018427387904\n", 1)
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(ModelFormatError, match="order must be between 1 and"):
             load_model(path)
 
     def test_future_version_reported_before_other_header_errors(self, tmp_path):

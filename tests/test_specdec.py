@@ -186,6 +186,24 @@ class TestScoreOnDemand:
         prompt.extend(encode("dd", m.vocab))
         assert rows[-1] is want
 
+    def test_row_contexts_stay_short_for_long_drafts(self):
+        # Each row reads at most the context tail plus order - 1 draft
+        # tokens, so scoring K rows costs O(K), not O(K^2).
+        m = chain_model("abc" * 20, order=3)
+        prompt = encode("abcab", m.vocab)
+        d = draft(m, prompt, 40, 0.0, make_rng(0, DRAFT_STREAM))
+        assert len(d) == 40
+        lengths = []
+        scored = m.next_dist
+        m.next_dist = lambda ctx: lengths.append(len(ctx)) or scored(ctx)
+        rows = list(score_parallel(m, prompt, d, 0.0))
+        del m.next_dist
+        ctx = list(prompt)
+        for i, row in enumerate(rows):
+            assert row is apply_temperature(m.next_dist(ctx), 0.0)
+            ctx.extend(d.tokens[i:i + 1])
+        assert len(lengths) == 41 and max(lengths) <= 2 * (m.order - 1)
+
     def test_target_scores_only_the_rows_verification_reads(self, saved_pair):
         target_path, drafter_path, prompts = saved_pair
         for temperature in (0.0, 0.7, 1.0):
@@ -626,6 +644,50 @@ class TestReferenceDecoder:
                             assert got_out == want_out
                             assert got_stats.to_dict() == want_stats
 
+    @staticmethod
+    def _check(target, drafter, prompt, cfg):
+        want_out, want_stats = reference_decode(target, drafter, prompt, cfg)
+        got_out, got_stats = decode_speculative(target, drafter, prompt, cfg)
+        assert got_out == want_out
+        assert got_stats.to_dict() == want_stats
+        return got_out, got_stats
+
+    def test_edge_cases_match_reference(self, saved_pair):
+        """Order-1 models, where the drafting tail is empty; prompts empty and
+        shorter than order - 1; budgets of one token and below K."""
+        target_path, drafter_path, prompts = saved_pair
+        target, drafter = load_model(target_path), load_model(drafter_path)
+        de = with_task_prompts(synth.make_bitext(("de", "en"), 40, seed=1))
+        uni_target = pretrain(de, order=1, k=0.1, vocab=target.vocab)
+        uni_drafter = pretrain(synth.general_corpus(30, seed=3), order=1, k=0.5,
+                               vocab=target.vocab)
+        for t, d in ((target, drafter), (target, uni_drafter), (uni_target, drafter),
+                     (uni_target, uni_drafter)):
+            for prompt in ([], prompts[0][:1], prompts[0][:2], prompts[0]):
+                for temperature in (0.0, 0.7):
+                    for k, max_new in ((1, 1), (5, 1), (5, 3), (8, 5), (3, 40)):
+                        for seed in (0, 1):
+                            self._check(t, d, prompt, SpecConfig(k, temperature, max_new, seed))
+
+    def test_eos_on_the_last_budget_slot_is_emitted(self):
+        """An <eos> right after the last token the budget allows still counts
+        as emitted, whether it is an accepted draft token, a correction or a
+        bonus token."""
+        vocab = build_vocab("abcd")
+        target = chain_model("abc", vocab=vocab)
+        cases = (
+            (target, 5, [4], 1),                              # accepted; bonus dropped
+            (chain_model("abcd", vocab=vocab), 5, [3], 0),    # correction
+            (target, 3, [3], 0),                              # bonus
+        )
+        for drafter, k, accepted, truncated in cases:
+            for temperature in (0.0, 0.7):
+                cfg = SpecConfig(draft_len=k, temperature=temperature, max_new_tokens=3)
+                out, stats = self._check(target, drafter, [], cfg)
+                assert decode_tokens(out, vocab) == "abc"
+                assert stats.accepted_per_cycle == accepted
+                assert (stats.emitted_tokens, stats.truncated_tokens) == (4, truncated)
+
     def test_generate_matches_reference(self, saved_pair):
         target_path, _, prompts = saved_pair
         warm = load_model(target_path)
@@ -658,3 +720,46 @@ class TestReservedIdEmission:
                 assert len(text) == len(ids) - len(reserved)
                 assert text == "".join(target.vocab.tokens[t] for t in ids if t > UNK_ID)
         assert seen == {BOS_ID, UNK_ID}
+
+
+class TestTracedNames:
+    """specbench's tracer times a cycle by replacing these specdec globals and
+    NGramModel.next_dist with wrappers; a cycle that bypassed one would
+    leave its span empty, and the per-position acceptance reads len() of
+    each draft and accepted_count of each verifier's result."""
+
+    def test_each_traced_name_is_called_through_its_global(self, saved_pair, monkeypatch):
+        target_path, drafter_path, prompts = saved_pair
+        target, drafter = load_model(target_path), load_model(drafter_path)
+        calls = {}
+
+        def counting(name, fn, check=None):
+            def wrapper(*args, **kwargs):
+                result = fn(*args, **kwargs)
+                calls[name] = calls.get(name, 0) + 1
+                if check is not None:
+                    check(result)
+                return result
+            return wrapper
+
+        def drafted(d):
+            assert len(d) >= 1
+
+        def verified(outcome):
+            assert outcome.accepted_count >= 0
+
+        checks = {"draft": drafted, "verify_greedy": verified, "verify_stochastic": verified}
+        for name in ("draft", "score_parallel", "verify_greedy", "verify_stochastic",
+                     "residual_dist", "apply_temperature", "sample"):
+            monkeypatch.setattr(specdec, name,
+                                counting(name, getattr(specdec, name), checks.get(name)))
+        monkeypatch.setattr(NGramModel, "next_dist", counting("next_dist", NGramModel.next_dist))
+        common = {"draft", "score_parallel", "apply_temperature", "sample", "next_dist"}
+        for temperature, verifier, extra in ((0.0, "verify_greedy", set()),
+                                             (0.7, "verify_stochastic", {"residual_dist"})):
+            calls.clear()
+            cfg = SpecConfig(draft_len=5, temperature=temperature, max_new_tokens=60, seed=1)
+            _, stats = decode_speculative(target, drafter, prompts[0], cfg)
+            assert set(calls) == common | {verifier} | extra
+            for name in ("draft", "score_parallel", verifier):
+                assert calls[name] == stats.cycles
