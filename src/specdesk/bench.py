@@ -221,6 +221,12 @@ def _decode_corpus(target: NGramModel, drafter: NGramModel, corpus: Corpus,
     return merge_stats(runs)
 
 
+def _decoded_seeds(temperature: float, seeds: tuple[int, ...]) -> tuple[int, ...]:
+    """The seeds a cell is decoded with: greedy (T=0) decoding draws nothing a
+    seed changes, so a greedy cell is decoded with its first seed only."""
+    return seeds[:1] if temperature == 0 else seeds
+
+
 def _eval_cell(payload) -> tuple[str, tuple]:
     """Evaluate one grid cell; returns ('ok', metrics) or ('error', message).
 
@@ -257,21 +263,24 @@ def run_grid(target: NGramModel, grid: ExperimentGrid, *,
               for t in grid.temperatures]
     payloads = [(target, grid.drafters[dn], dn, grid.corpora[cn], grid.draft_len,
                  t, max_new_tokens, s, max_prompts, cm)
-                for dn, cn, t in groups for s in grid.seeds]
+                for dn, cn, t in groups for s in _decoded_seeds(t, grid.seeds)]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_eval_cell, payloads))
     else:
         outcomes = [_eval_cell(p) for p in payloads]
-    results = iter(outcomes)  # one per (group, seed), in payload order
+    results = iter(outcomes)  # one per payload, in payload order
 
     cells: list[GridCell] = []
     errors: list[GridCellError] = []
     rows: list[GridRow] = []
     for drafter_name, corpus_name, temperature in groups:
+        decoded = [next(results) for _ in _decoded_seeds(temperature, grid.seeds)]
+        if len(decoded) < len(grid.seeds):  # a greedy cell's one outcome stands for all
+            decoded *= len(grid.seeds)
         per_seed: list[GridCell] = []
-        for seed, (status, result) in zip(grid.seeds, results):
+        for seed, (status, result) in zip(grid.seeds, decoded):
             if status == "error":
                 errors.append(GridCellError(drafter_name, corpus_name, temperature, seed, result[0]))
             else:
@@ -364,14 +373,15 @@ def scaling_curve(target: NGramModel, drafter_base: NGramModel, finetune_corpus:
             warnings.warn(f"token budget {budget} exceeds corpus size {available}; clamping")
         subset = truncate_corpus(finetune_corpus, min(budget, available))
         tuned = finetune(drafter_base, subset, cfg.finetune_weight)
-        per_seed_acc = []
-        per_seed_spd = []
-        for seed in cfg.seeds:
+        decoded = []
+        for seed in _decoded_seeds(cfg.temperature, cfg.seeds):
             merged = _decode_corpus(target, tuned, eval_corpus, cfg.draft_len,
                                     cfg.temperature, cfg.max_new_tokens, seed,
                                     cfg.max_prompts)
-            per_seed_acc.append(mean_accepted(merged))
-            per_seed_spd.append(cost_speedup(merged, cfg.cost))
+            decoded.append((mean_accepted(merged), cost_speedup(merged, cfg.cost)))
+        if len(decoded) < len(cfg.seeds):  # a greedy point's one decode stands for all
+            decoded *= len(cfg.seeds)
+        per_seed_acc, per_seed_spd = zip(*decoded)
         acc_mean, acc_std = _mean_std(per_seed_acc)
         spd_mean, spd_std = _mean_std(per_seed_spd)
         points.append(ScalingPoint(budget=budget, tokens_used=subset.token_count(),

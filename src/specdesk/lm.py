@@ -12,6 +12,7 @@ import math
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice, repeat
 from typing import Iterator, Optional
 
 import numpy as np
@@ -55,6 +56,10 @@ _CHUNK_CHARS = 4096
 # Below this, adding a whole number n to a whole-number float count is exact,
 # and so equals n steps of += 1.0.
 _EXACT_INT = 2 ** 53
+
+# Model files are read in groups of this many count lines, so each group's
+# fields and arrays stay small.
+_GROUP_LINES = 1024
 
 
 class ModelFormatError(FormatError):
@@ -309,12 +314,14 @@ def save_model(model: NGramModel, path) -> None:
     ]
     lines.extend(vocab_lines(model.vocab))
     # Every context has order - 1 ids, so sorting contexts, then the tokens
-    # within each, gives the lexicographic order of (ctx..., tok).
-    count_lines = []
-    for ctx in sorted(model.counts):
-        prefix = "".join(f"{i} " for i in ctx)
-        per_tok = model.counts[ctx]
-        count_lines.extend(f"{prefix}{tok} {per_tok[tok]!r}" for tok in sorted(per_tok))
+    # within each, gives the lexicographic order of (ctx..., tok). A context
+    # with one token needs no sort; most of a large model's contexts have one.
+    ids, values = _Texts("{} ".format), _Texts(lambda count: repr(float(count)))
+    count_lines = [f"{prefix}{ids[tok]}{values[per_tok[tok]]}"
+                   for ctx in sorted(model.counts)
+                   for prefix, per_tok in (("".join(map(ids.__getitem__, ctx)),
+                                            model.counts[ctx]),)
+                   for tok in (sorted(per_tok) if len(per_tok) > 1 else per_tok)]
     lines.append(f"counts={len(count_lines)}")
     lines.extend(count_lines)
     write_lines(path, lines)
@@ -332,6 +339,95 @@ def _header_value(lines: list[str], ln: int, key: str, parse):
         return parse(raw)
     except ValueError:
         raise ModelFormatError(f"line {ln + 1}: unparsable {key} {raw!r}") from None
+
+
+class _Texts(dict):
+    """The text of each key, made once by `make` for equal keys. A false key
+    (0, 0.0, -0.0) is made on every use: 0.0 and -0.0 are one dict key, but
+    their reprs differ."""
+
+    def __init__(self, make):
+        super().__init__()
+        self._make = make
+
+    def __missing__(self, key):
+        text = self._make(key)
+        if key:
+            self[key] = text
+        return text
+
+
+def _add_count_group(group: list[str], order: int, vocab_size: int, counts: dict,
+                     shared: dict, ids: dict, previous: tuple) -> Optional[tuple]:
+    """Check a group of count lines with array comparisons and add them to
+    counts; returns the last key, or None, with counts untouched, when any
+    line fails a check. previous is the key before the group's first line.
+    shared and ids map each count and id spelling seen so far to its value."""
+    if set(map(str.count, group, repeat(" "))) != {order}:
+        return None
+    width = order + 1
+    fields = " ".join(group).split(" ")
+    spellings = fields[order::width]
+    del fields[order::width]
+    try:
+        new_ids = {raw: int(raw) for raw in set(fields).difference(ids)}
+        new_counts = {raw: float(raw) for raw in set(spellings).difference(shared)}
+    except ValueError:
+        return None
+    if not (all(0 <= i < vocab_size for i in new_ids.values())
+            and all(0.0 <= count < math.inf for count in new_counts.values())):
+        return None
+    ids.update(new_ids)
+    keys = np.fromiter(map(ids.__getitem__, fields), np.int64, len(fields)).reshape(-1, order)
+    rows = np.concatenate((np.array(previous, np.int64).reshape(-1, order), keys))
+    later, earlier = rows[1:], rows[:-1]
+    step = later != earlier
+    # Each key must exceed the one before it at their first differing id;
+    # equal keys differ nowhere and fail at id 0.
+    first = step.argmax(1)
+    at = np.arange(len(first))
+    if not (later[at, first] > earlier[at, first]).all():
+        return None
+    shared.update(new_counts)
+    n1 = order - 1
+    # The lines of one context are adjacent; only the first context of the
+    # group can have begun in the group before.
+    starts = [0, *(np.flatnonzero(step[len(rows) - len(keys):, :n1].any(1)) + 1).tolist()]
+    contexts = list(zip(*keys[starts, :n1].T.tolist())) if n1 else [()]
+    sizes = np.diff(starts + [len(keys)]).tolist()
+    pairs = zip(keys[:, n1].tolist(), map(shared.__getitem__, spellings))
+    if contexts[0] in counts:
+        counts[contexts[0]].update(islice(pairs, sizes[0]))
+        del contexts[0], sizes[0]
+    counts.update(zip(contexts, map(dict, map(islice, repeat(pairs), sizes))))
+    return tuple(keys[-1].tolist())
+
+
+def _add_count_lines(lines: list[str], lo: int, hi: int, order: int, vocab_size: int,
+                     counts: dict, shared: dict, previous: tuple) -> tuple:
+    """Check and add lines[lo:hi] one line at a time. A group that fails a
+    check is read again this way, so that the error names its first bad
+    line. Returns the last key."""
+    for ln in range(lo, hi):
+        parts = lines[ln].split(" ")
+        if len(parts) != order + 1:
+            raise ModelFormatError(f"line {ln + 1}: expected {order + 1} fields")
+        try:
+            key = tuple(map(int, parts[:-1]))
+            count = float(parts[-1])
+        except ValueError:
+            raise ModelFormatError(f"line {ln + 1}: unparsable count entry") from None
+        if not all(0 <= i < vocab_size for i in key):
+            raise ModelFormatError(f"line {ln + 1}: token id out of range")
+        if not 0.0 <= count < math.inf:
+            raise ModelFormatError(f"line {ln + 1}: count must be finite and >= 0")
+        # save_model writes strictly increasing (ctx..., tok) keys, so this
+        # one comparison rejects both repeated and misordered lines.
+        if key <= previous:
+            raise ModelFormatError(f"line {ln + 1}: count lines must be strictly increasing")
+        previous = key
+        counts.setdefault(key[:-1], {})[key[-1]] = shared.setdefault(parts[-1], count)
+    return previous
 
 
 def _parse_model(lines: list[str]) -> NGramModel:
@@ -357,26 +453,14 @@ def _parse_model(lines: list[str]) -> NGramModel:
     # Most counts are a few small whole numbers, so lines that spell a count
     # alike share one float object.
     shared: dict[str, float] = {}
+    ids: dict[str, int] = {}
     previous: tuple[int, ...] = ()
-    for ln in range(counts_start, len(lines)):
-        parts = lines[ln].split(" ")
-        if len(parts) != order + 1:
-            raise ModelFormatError(f"line {ln + 1}: expected {order + 1} fields")
-        try:
-            key = tuple(map(int, parts[:-1]))
-            count = float(parts[-1])
-        except ValueError:
-            raise ModelFormatError(f"line {ln + 1}: unparsable count entry") from None
-        if not all(0 <= i < vocab_size for i in key):
-            raise ModelFormatError(f"line {ln + 1}: token id out of range")
-        if not 0.0 <= count < math.inf:
-            raise ModelFormatError(f"line {ln + 1}: count must be finite and >= 0")
-        # save_model writes strictly increasing (ctx..., tok) keys, so this
-        # one comparison rejects both repeated and misordered lines.
-        if key <= previous:
-            raise ModelFormatError(f"line {ln + 1}: count lines must be strictly increasing")
-        previous = key
-        counts.setdefault(key[:-1], {})[key[-1]] = shared.setdefault(parts[-1], count)
+    for lo in range(counts_start, len(lines), _GROUP_LINES):
+        hi = min(lo + _GROUP_LINES, len(lines))
+        last = _add_count_group(lines[lo:hi], order, vocab_size, counts, shared, ids, previous)
+        if last is None:
+            last = _add_count_lines(lines, lo, hi, order, vocab_size, counts, shared, previous)
+        previous = last
     return NGramModel(order, k, vocab, counts, provenance)
 
 

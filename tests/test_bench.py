@@ -1,4 +1,6 @@
+import contextlib
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from specdesk import (
     spearman,
     with_task_prompts,
 )
+from specdesk import bench
 from specdesk.bench import GRID_COLUMNS
 
 import synth
@@ -115,6 +118,20 @@ class TestSpearman:
         assert math.isnan(spearman([1, 2, 3], [5, 5, 5]))
 
 
+@contextlib.contextmanager
+def counting_decodes():
+    """Record each of bench's decode_speculative calls."""
+    calls = []
+    real = bench.decode_speculative
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    with mock.patch.object(bench, "decode_speculative", counting):
+        yield calls
+
+
 @pytest.fixture(scope="module")
 def trained_pair():
     """Shared-vocab target plus in-domain (de) and out-of-domain (ru) drafters."""
@@ -194,6 +211,21 @@ class TestRunGrid:
         parallel = run_grid(target, grid, max_new_tokens=10, max_prompts=3, jobs=2)
         assert serial.rows == parallel.rows
 
+    def test_greedy_cells_are_decoded_once(self, trained_pair):
+        target, _, d_de, _, eval_de, eval_ru = trained_pair
+        alien = pretrain(Corpus((("", "zz"),)), order=2, k=0.5)
+        grid = ExperimentGrid({"de": d_de, "alien": alien}, {"de": eval_de, "ru": eval_ru},
+                              temperatures=(0.0, 1.0), seeds=(0, 1, 2), draft_len=3)
+        with counting_decodes() as calls:
+            result = run_grid(target, grid, max_new_tokens=8, max_prompts=3)
+        # de x 2 corpora x 3 prompts, once at T=0 and once per seed at T=1.
+        assert len(calls) == 2 * 3 * (1 + 3)
+        with mock.patch.object(bench, "_decoded_seeds", lambda temperature, seeds: seeds):
+            every_seed = run_grid(target, grid, max_new_tokens=8, max_prompts=3)
+        assert result == every_seed
+        assert len(result.cells) == 12 and len(result.errors) == 12
+        assert run_grid(target, grid, max_new_tokens=8, max_prompts=3, jobs=2) == result
+
     def test_max_prompts_below_one_rejected(self, trained_pair):
         target, _, d_de, _, eval_de, _ = trained_pair
         grid = ExperimentGrid({"de": d_de}, {"de": eval_de}, seeds=(0,), draft_len=3)
@@ -215,6 +247,18 @@ class TestScalingCurve:
         assert len(curve.points) == 3
         assert [p.budget for p in curve.points] == [50, 200, 800]
         assert all(p.tokens_used <= p.budget for p in curve.points)
+
+    def test_greedy_points_are_decoded_once_per_budget(self, trained_pair):
+        target, base, _, _, eval_de, _ = trained_pair
+        corpus = with_task_prompts(synth.make_bitext(("de", "en"), 40, seed=21))
+        cfg = EvalConfig(draft_len=3, max_new_tokens=10, seeds=(0, 1, 2), max_prompts=4)
+        with counting_decodes() as calls:
+            curve = scaling_curve(target, base, corpus, [50, 200, 800], eval_de, cfg)
+        assert len(calls) == 3 * 4
+        with mock.patch.object(bench, "_decoded_seeds", lambda temperature, seeds: seeds):
+            every_seed = scaling_curve(target, base, corpus, [50, 200, 800], eval_de, cfg)
+        assert curve.points == every_seed.points
+        assert curve.to_table() == every_seed.to_table()
 
     def test_max_prompts_below_one_rejected(self):
         for bad in (0, -1):

@@ -1,3 +1,7 @@
+import contextlib
+import functools
+import io
+import math
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -29,8 +33,9 @@ from specdesk import (
     save_model,
     truncate_corpus,
 )
-from specdesk import lm
-from specdesk.core import RESERVED_TOKENS, Vocabulary, encode_array
+from specdesk import cli, lm
+from specdesk.core import (RESERVED_TOKENS, Vocabulary, encode_array, parse_vocab_lines,
+                           vocab_lines)
 
 AAB = Corpus((("", "aab"),))
 
@@ -556,6 +561,256 @@ class TestModelPersistence:
         path.write_text("version=2\nsomething else entirely\n", encoding="utf-8")
         with pytest.raises(ModelVersionError):
             load_model(path)
+
+    def test_int_counts_save_as_the_floats_they_load_as(self, tmp_path):
+        vocab = build_vocab("ab")
+        a, b = vocab.lookup("a"), vocab.lookup("b")
+        model = NGramModel(2, 0.5, vocab, {(BOS_ID,): {a: 2, b: 1}, (a,): {EOS_ID: 3}})
+        path, again = tmp_path / "m.model", tmp_path / "again.model"
+        save_model(model, path)
+        assert f"{BOS_ID} {a} 2.0\n" in path.read_text(encoding="utf-8")
+        loaded = load_model(path)
+        assert loaded == model
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_numpy_counts_save_as_loadable_floats(self, tmp_path):
+        vocab = build_vocab("ab")
+        a, b = vocab.lookup("a"), vocab.lookup("b")
+        model = NGramModel(2, 0.5, vocab, {(BOS_ID,): {a: np.float64(2.0), b: np.float64(0.3)},
+                                           (a,): {EOS_ID: np.float32(0.5)}})
+        path, again = tmp_path / "m.model", tmp_path / "again.model"
+        save_model(model, path)
+        assert f"{BOS_ID} {a} 2.0\n{BOS_ID} {b} 0.3\n" in path.read_text(encoding="utf-8")
+        loaded = load_model(path)
+        assert loaded == model
+        save_model(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+
+    def test_signed_zero_counts_keep_their_sign(self, tmp_path):
+        # 0.0 and -0.0 are equal, so one memo entry by value would write both
+        # the same way.
+        vocab = build_vocab("abc")
+        a, b, c = vocab.lookup("a"), vocab.lookup("b"), vocab.lookup("c")
+        model = NGramModel(2, 0.5, vocab, {(BOS_ID,): {a: 0.0, b: -0.0, c: 0.0},
+                                           (a,): {b: -0.0, c: 1.0}})
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        assert path.read_bytes() == reference_model_bytes(model)
+        loaded = load_model(path)
+        assert [math.copysign(1.0, count) for per_tok in loaded.counts.values()
+                for count in per_tok.values()] == [1.0, -1.0, 1.0, -1.0, 1.0]
+
+
+def reference_parse_model(lines):
+    """The loader load_model once ran: the header and vocabulary checks,
+    then each count line split, parsed, checked and added on its own."""
+    version = lm._header_value(lines, 0, "version", int)
+    if version != lm.MODEL_FORMAT_VERSION:
+        raise ModelVersionError(
+            f"format version {version} unsupported (expected {lm.MODEL_FORMAT_VERSION})")
+    order, k, provenance, vocab_size = (
+        lm._header_value(lines, ln, key, parse)
+        for ln, (key, parse) in enumerate(lm._MODEL_HEADER, start=1))
+    vocab_end = 5 + vocab_size
+    if not 5 <= vocab_end <= len(lines):
+        raise ModelFormatError("truncated vocabulary block")
+    vocab = parse_vocab_lines(lines[5:vocab_end])
+    n_counts = lm._header_value(lines, vocab_end, "counts", int)
+    counts_start = vocab_end + 1
+    if counts_start + n_counts != len(lines):
+        raise ModelFormatError(
+            f"counts={n_counts} but {len(lines) - counts_start} count lines follow")
+    counts = {}
+    shared = {}
+    previous = ()
+    for ln in range(counts_start, len(lines)):
+        parts = lines[ln].split(" ")
+        if len(parts) != order + 1:
+            raise ModelFormatError(f"line {ln + 1}: expected {order + 1} fields")
+        try:
+            key = tuple(map(int, parts[:-1]))
+            count = float(parts[-1])
+        except ValueError:
+            raise ModelFormatError(f"line {ln + 1}: unparsable count entry") from None
+        if not all(0 <= i < vocab_size for i in key):
+            raise ModelFormatError(f"line {ln + 1}: token id out of range")
+        if not 0.0 <= count < math.inf:
+            raise ModelFormatError(f"line {ln + 1}: count must be finite and >= 0")
+        if key <= previous:
+            raise ModelFormatError(f"line {ln + 1}: count lines must be strictly increasing")
+        previous = key
+        counts.setdefault(key[:-1], {})[key[-1]] = shared.setdefault(parts[-1], count)
+    return NGramModel(order, k, vocab, counts, provenance)
+
+
+def reference_load(path):
+    """load_model with the line-by-line loader in place of the grouped one."""
+    with mock.patch.object(lm, "_parse_model", reference_parse_model):
+        return load_model(path)
+
+
+def reference_model_bytes(model):
+    """The bytes of the line-by-line formatter save_model once ran, with each
+    count written as repr(float(count))."""
+    lines = [f"version={lm.MODEL_FORMAT_VERSION}", f"order={model.order}", f"k={model.k!r}",
+             f"provenance={model.provenance}", f"vocab={model.vocab.size}"]
+    lines.extend(vocab_lines(model.vocab))
+    count_lines = []
+    for ctx in sorted(model.counts):
+        prefix = "".join(f"{i} " for i in ctx)
+        per_tok = model.counts[ctx]
+        count_lines.extend(f"{prefix}{tok} {float(per_tok[tok])!r}" for tok in sorted(per_tok))
+    lines.append(f"counts={len(count_lines)}")
+    lines.extend(count_lines)
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def assert_same_loaded(loaded, reference):
+    """Equal models, as assert_same_model compares them, with the same
+    pattern of shared float objects."""
+    assert loaded == reference
+    assert_same_model(loaded, reference)
+    assert sharing(loaded) == sharing(reference)
+
+
+def sharing(model):
+    """For each count in file order, the position of the first count that is
+    the same object."""
+    first = {}
+    return [first.setdefault(id(count), i) for i, count in
+            enumerate(c for per_tok in model.counts.values() for c in per_tok.values())]
+
+
+# Newline, carriage-return and backslash tokens are escaped in the vocabulary block.
+ESCAPED_CHARS = ["a", "b", "\n", "\r", "\\", "ж", chr(0x1F600), " ", "1"]
+escaped_text = st.lists(st.sampled_from(ESCAPED_CHARS), max_size=12).map("".join)
+escaped_record = st.tuples(escaped_text, escaped_text.filter(bool))
+
+
+class TestGroupedModelFiles:
+    """save_model and load_model work on groups of count lines; files and
+    models must be the line-by-line references', bit for bit."""
+
+    @settings(max_examples=60)
+    @given(order=st.integers(1, 6),
+           records=st.lists(escaped_record, min_size=1, max_size=8),
+           tunes=st.lists(st.tuples(st.lists(escaped_record, min_size=1, max_size=4),
+                                    st.sampled_from([1.0, 0.5, 0.3, 2.7, 1e-9])),
+                          max_size=2),
+           repeat=st.sampled_from([1, 7]),
+           group=st.sampled_from([1, 3, lm._GROUP_LINES]))
+    def test_equals_line_by_line_references(self, order, records, tunes, repeat, group):
+        model = pretrain(Corpus(tuple(records) * repeat), order, k=0.25)
+        models = [model]
+        for tune_records, weight in tunes:
+            models.append(finetune(models[-1], Corpus(tuple(tune_records) * repeat), weight))
+        with mock.patch.object(lm, "_GROUP_LINES", group), \
+                tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.model"
+            for m in models:
+                save_model(m, path)
+                assert path.read_bytes() == reference_model_bytes(m)
+                loaded, reference = load_model(path), reference_load(path)
+                assert loaded == m
+                assert_same_loaded(loaded, reference)
+
+    def test_a_context_split_across_groups_is_one_dict(self, tmp_path):
+        vocab = build_vocab("abcdef")
+        ids = [vocab.lookup(ch) for ch in "abcdef"]
+        model = NGramModel(2, 0.5, vocab, {(BOS_ID,): {i: 1.0 for i in ids},
+                                           (ids[0],): {i: 2.0 for i in ids}})
+        path = tmp_path / "m.model"
+        save_model(model, path)
+        for group in (1, 2, 4, 5, 7):
+            with mock.patch.object(lm, "_GROUP_LINES", group):
+                assert_same_loaded(load_model(path), reference_load(path))
+
+
+# Spellings a fuzzed field takes: some parse as ints or floats that save_model
+# never writes, some do not parse, some are out of range or not finite.
+FUZZ_SPELLINGS = ["x", "+3", "03", "1_0", "٣", "nan", "-0.0", "1e400", "inf", "99"]
+FUZZ_EDITS = ["field", "count", "drop", "duplicate", "swap", "add", "remove"]
+
+
+@functools.lru_cache(maxsize=None)
+def fuzz_base_lines():
+    """A saved order-3 model with whole and fractional counts, as lines."""
+    corpus = Corpus((("abc", "cab ba"), ("", "abcabd e"), ("c", "dd ee f 0123")))
+    model = finetune(pretrain(corpus, order=3, k=0.5), Corpus((("a", "bcd f"),)), 0.3)
+    return tuple(reference_model_bytes(model).decode("utf-8").split("\n")[:-1])
+
+
+def fuzzed_text(edits, off, crlf):
+    """The base model file with each (edit, line, field, spelling) applied
+    to its count lines, counts= off from the line count by off, and CRLF
+    line endings if crlf."""
+    lines = list(fuzz_base_lines())
+    start = next(i for i, line in enumerate(lines) if line.startswith("counts=")) + 1
+    body = lines[start:]
+    for edit, line, field, spelling in edits:
+        if not body:
+            break
+        i = line % len(body)
+        parts = body[i].split(" ")
+        if edit in ("field", "count"):
+            parts[field % len(parts) if edit == "field" else -1] = spelling
+        elif edit == "add":
+            parts.insert(field % (len(parts) + 1), "1")
+        elif edit == "remove":
+            del parts[field % len(parts)]
+        elif edit == "drop":
+            del body[i]
+            continue
+        elif edit == "duplicate":
+            body.insert(i, body[i])
+            continue
+        else:  # swap
+            j = (i + 1) % len(body)
+            body[i], body[j] = body[j], body[i]
+            continue
+        body[i] = " ".join(parts)
+    text = "\n".join(lines[:start - 1] + [f"counts={len(body) + off}"] + body) + "\n"
+    return text.replace("\n", "\r\n") if crlf else text
+
+
+def outcome(load, path):
+    try:
+        return load(path)
+    except Exception as exc:  # the class and message are compared
+        return type(exc), str(exc)
+
+
+class TestModelLoaderFuzz:
+    """Mutated model files load as the line-by-line reference loads them, or
+    fail with its exception class and message; the CLI exits 0 or 4."""
+
+    @settings(max_examples=200)
+    @given(edits=st.lists(st.tuples(st.sampled_from(FUZZ_EDITS), st.integers(0, 10 ** 6),
+                                    st.integers(0, 10), st.sampled_from(FUZZ_SPELLINGS)),
+                          min_size=1, max_size=3),
+           off=st.sampled_from([0, 0, 0, 0, 0, 0, 1, -1]),
+           crlf=st.sampled_from([False, False, False, True]),
+           group=st.sampled_from([1, 3, lm._GROUP_LINES]))
+    def test_mutated_files_match_the_reference(self, edits, off, crlf, group):
+        with tempfile.TemporaryDirectory() as tmp, \
+                mock.patch.object(lm, "_GROUP_LINES", group):
+            path, corpus, out = Path(tmp) / "m.model", Path(tmp) / "c.tsv", Path(tmp) / "o.model"
+            path.write_bytes(fuzzed_text(tuple(edits), off, crlf).encode("utf-8"))
+            expected, got = outcome(reference_load, path), outcome(load_model, path)
+            if isinstance(expected, NGramModel):
+                assert isinstance(got, NGramModel)
+                assert_same_loaded(got, expected)
+            else:
+                assert got == expected
+                assert expected[0] in (ModelFormatError, ModelVersionError)
+            save_corpus(Corpus((("ab", "c d"),)), corpus)
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = cli.main(["train", "finetune", "--model", str(path),
+                                 "--corpus", str(corpus), "--out", str(out)])
+            assert code == (0 if isinstance(expected, NGramModel) else 4), stderr.getvalue()
+            assert "Traceback" not in stderr.getvalue()
 
 
 class TestCorpusIO:
