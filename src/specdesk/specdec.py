@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -34,6 +35,11 @@ from .core import (
 from .lm import NGramModel
 
 
+# The longest draft a SpecConfig accepts. Drafting is one drafter call per
+# position, so an unbounded K could run for hours before the first cycle ends.
+MAX_DRAFT_LEN = 1024
+
+
 class VocabularyMismatchError(ValueError):
     """Target and drafter models do not share a vocabulary."""
 
@@ -48,8 +54,9 @@ class SpecConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.draft_len < 1:
-            raise ValueError("draft_len must be >= 1")
+        if not 1 <= self.draft_len <= MAX_DRAFT_LEN:
+            raise ValueError(f"draft_len must be between 1 and {MAX_DRAFT_LEN}, "
+                             f"got {self.draft_len}")
         check_temperature(self.temperature)
         if self.max_new_tokens < 1:
             raise ValueError("max_new_tokens must be >= 1")
@@ -125,6 +132,10 @@ _set_accepted_count, _set_correction, _set_bonus = (
     VerificationOutcome.accepted_count.__set__, VerificationOutcome.correction.__set__,
     VerificationOutcome.bonus.__set__)
 
+# Equal outcomes share one frozen object, kept in a bounded cache like
+# core._one_hot's: most cycles repeat a few (accepted count, token) pairs.
+_outcome = lru_cache(maxsize=4096)(VerificationOutcome._trusted)
+
 
 @dataclass(slots=True)
 class DecodeStats:
@@ -187,39 +198,40 @@ def draft(drafter: NGramModel, context: Sequence[int], draft_len: int,
 
 
 class _TargetRows(Sequence):
-    """The len(d) + 1 target rows of score_parallel, each scored when it is
-    first read and then kept. Verification stops reading at the first
-    rejection, so the rows past it are never scored."""
+    """The len(d) + 1 target rows of score_parallel, held as what scores
+    them: row j is apply_temperature(next_dist(tail + d.tokens[:j]), T).
+    The verifiers score the rows they read themselves and stop at the first
+    rejection, so the rows past it are never scored; reading a row by index
+    scores it the same way."""
 
-    __slots__ = ("_target", "_tail", "_tokens", "_temperature", "_rows")
+    __slots__ = ("next_dist", "order", "tail", "tokens", "temperature")
 
     def __init__(self, target: NGramModel, context: Sequence[int], d: Draft,
                  temperature: float):
         # next_dist reads at most the last order - 1 ids of a context (fewer
-        # are padded), so row j's context is this tail plus j draft tokens.
+        # are padded), so the tail stands in for the whole context.
         n1 = target.order - 1
-        self._target = target
-        self._tail = tuple(context[-n1:]) if n1 else ()
-        self._tokens = d.tokens
-        self._temperature = temperature
-        self._rows: list = [None] * (len(d.tokens) + 1)
+        self.next_dist = target.next_dist
+        self.order = target.order
+        self.tail = tuple(context[-n1:]) if n1 else ()
+        self.tokens = d.tokens
+        self.temperature = temperature
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self.tokens) + 1
 
     def __getitem__(self, j):
+        size = len(self.tokens) + 1
         if j.__class__ is slice:
-            return [self[i] for i in range(*j.indices(len(self._rows)))]
-        row = self._rows[j]
-        if row is None:
-            j %= len(self._rows)
-            # Once j reaches order - 1, the last order - 1 draft tokens are
-            # the whole context, so a row's context never grows with K.
-            n1 = self._target.order - 1
-            ctx = self._tail + self._tokens[:j] if j <= n1 else self._tokens[j - n1:j]
-            row = apply_temperature(self._target.next_dist(ctx), self._temperature)
-            self._rows[j] = row
-        return row
+            return [self[i] for i in range(*j.indices(size))]
+        if not -size <= j < size:
+            raise IndexError("target row index out of range")
+        j %= size
+        # Once j reaches order - 1, the last order - 1 draft tokens are the
+        # whole context, even when the tail is shorter than order - 1.
+        n1 = self.order - 1
+        ctx = self.tail + self.tokens[:j] if j <= n1 else self.tokens[j - n1:j]
+        return apply_temperature(self.next_dist(ctx), self.temperature)
 
 
 def score_parallel(target: NGramModel, context: Sequence[int], d: Draft,
@@ -227,9 +239,21 @@ def score_parallel(target: NGramModel, context: Sequence[int], d: Draft,
     """Post-temperature target distributions at every draft position plus one
     past the end: conditioned on the context alone, then the context extended
     by 1..len(d) draft tokens. Equal to sequential scoring by construction.
-    The rows are scored on first read, so a caller pays only for the rows it
+    The rows are scored on read, so a caller pays only for the rows it
     reads; like batching, that is an execution detail, not a semantic one."""
     return _TargetRows(target, context, d, temperature)
+
+
+def _row_scorer(d: Draft, target_dists: Sequence[Distribution]):
+    """(score, ctx, T) such that row j of target_dists is
+    apply_temperature(score(ctx), T) once ctx is extended by d.tokens[:j].
+    score_parallel's rows for d are scored from the target itself; any other
+    rows are read by index, at T=1, where apply_temperature is the identity."""
+    if target_dists.__class__ is _TargetRows and target_dists.tokens == d.tokens:
+        return target_dists.next_dist, list(target_dists.tail), target_dists.temperature
+    if len(target_dists) != len(d.tokens) + 1:
+        raise ValueError("need exactly len(draft) + 1 target distributions")
+    return lambda ctx: target_dists[len(ctx)], [], 1.0
 
 
 def residual_dist(q: Distribution, p: Distribution) -> Distribution:
@@ -267,21 +291,27 @@ def verify_stochastic(d: Draft, target_dists: Sequence[Distribution], rng) -> Ve
     correction token is sampled from the residual (q - p)+; if every position
     is accepted the bonus token is sampled from the final target
     distribution. The residual or bonus draw consumes the next uniform(s)
-    from the same stream.
+    from the same stream. A rejection where (q - p)+ vanishes can only come
+    from q and p that differ by rounding (r near 1, q(x)/p(x) a hair below
+    1), so the correction is then sampled from q.
     """
     tokens, dists = d.tokens, d.dists
-    if len(target_dists) != len(tokens) + 1:
-        raise ValueError("need exactly len(draft) + 1 target distributions")
+    score, ctx, temperature = _row_scorer(d, target_dists)
     for j, token in enumerate(tokens):
         p = dists[j]
         p_tok = p.probs.item(token)
         if p_tok <= 0.0:
             raise ValueError(f"draft token {j} has zero drafter probability")
-        q = target_dists[j]
+        q = apply_temperature(score(ctx), temperature)
         if rng.random() < q.probs.item(token) / p_tok:
+            ctx.append(token)
             continue
-        return VerificationOutcome._trusted(j, sample(residual_dist(q, p), rng), None)
-    return VerificationOutcome._trusted(len(tokens), None, sample(target_dists[-1], rng))
+        try:
+            residual = residual_dist(q, p)
+        except ValueError:  # the residual vanished
+            residual = q
+        return _outcome(j, sample(residual, rng), None)
+    return _outcome(len(tokens), None, sample(apply_temperature(score(ctx), temperature), rng))
 
 
 def verify_greedy(d: Draft, target_dists: Sequence[Distribution]) -> VerificationOutcome:
@@ -289,13 +319,13 @@ def verify_greedy(d: Draft, target_dists: Sequence[Distribution]) -> Verificatio
     tokens equal the target argmax at each position; the correction or bonus
     token is the target argmax at the first mismatch or past the end."""
     tokens = d.tokens
-    if len(target_dists) != len(tokens) + 1:
-        raise ValueError("need exactly len(draft) + 1 target distributions")
+    score, ctx, temperature = _row_scorer(d, target_dists)
     for j, token in enumerate(tokens):
-        top = argmax(target_dists[j])
+        top = argmax(apply_temperature(score(ctx), temperature))
         if token != top:
-            return VerificationOutcome._trusted(j, top, None)
-    return VerificationOutcome._trusted(len(tokens), None, argmax(target_dists[-1]))
+            return _outcome(j, top, None)
+        ctx.append(token)
+    return _outcome(len(tokens), None, argmax(apply_temperature(score(ctx), temperature)))
 
 
 def decode_speculative(target: NGramModel, drafter: NGramModel,
@@ -335,15 +365,23 @@ def decode_speculative(target: NGramModel, drafter: NGramModel,
         n = outcome.accepted_count
         accepted_per_cycle.append(n)
         extra = outcome.correction
-        cycle = tokens[:n] + (extra if extra is not None else outcome.bonus,)
+        if extra is None:
+            extra = outcome.bonus
         # Keep the cycle up to its first <eos> or the remaining budget; an
         # <eos> right after the last token the budget allows still counts.
         room = limit - len(context)
-        if EOS_ID in cycle and cycle.index(EOS_ID) <= room:
-            eos = True
-            context += cycle[:cycle.index(EOS_ID)]
-            break
-        context += cycle[:room]
+        if extra == EOS_ID or EOS_ID in tokens:
+            cycle = tokens[:n] + (extra,)
+            if EOS_ID in cycle and cycle.index(EOS_ID) <= room:
+                eos = True
+                context += cycle[:cycle.index(EOS_ID)]
+                break
+            context += cycle[:room]
+        elif n < room:
+            context += tokens[:n]
+            context.append(extra)
+        else:
+            context += tokens[:room]
         if len(context) >= limit:
             break
     cycles = len(accepted_per_cycle)

@@ -9,7 +9,7 @@ English bank, which gives each language pair its own target-side vocabulary
 
 import numpy as np
 
-from specdesk import Corpus
+from specdesk import Corpus, build_vocab, pretrain
 
 DE_WORDS = [
     "straße", "größe", "müde", "schön", "über", "grün", "weiß", "zwölf",
@@ -87,3 +87,22 @@ def babble(n_chars, seed) -> str:
         parts.append(word)
         total += len(word) + 1
     return " ".join(parts)[:n_chars]
+
+
+def rounding_pair():
+    """A target and a drafter over build_vocab("ab") whose add-k uniform rows
+    round differently: 0.3/1.5 gives 0.19999999999999998 and 0.5/2.5 gives
+    0.2. At a context neither model has seen, such as "c" (<unk>),
+    q(x)/p(x) is 1 - 2**-53 for every x, the largest Philox uniform."""
+    vocab, corpus = build_vocab("ab"), Corpus((("", "ab"),))
+    return pretrain(corpus, 3, 0.3, vocab), pretrain(corpus, 2, 0.5, vocab)
+
+
+class LargestUniform:
+    """Stands in for specdec._Uniforms: every draw is 1 - 2**-53."""
+
+    def __init__(self, rng):
+        pass
+
+    def random(self):
+        return 1 - 2**-53

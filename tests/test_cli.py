@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import specdesk
-from specdesk import load_corpus, load_model, save_corpus
+from specdesk import load_corpus, load_model, save_corpus, save_model, specdec
+from specdesk.cli import main
 
 import synth
 
@@ -138,6 +139,19 @@ class TestDecodeCommand:
         assert explicit.returncode == 0, explicit.stderr
         assert via_config.stdout == explicit.stdout
 
+    def test_vanished_residual_decodes_with_exit_0(self, tmp_path, monkeypatch, capsys):
+        # Every uniform is 1 - 2**-53, the largest Philox gives, so the first
+        # drafted token is rejected where q(x)/p(x) = 1 - 2**-53 too.
+        target, drafter = synth.rounding_pair()
+        save_model(target, tmp_path / "target.model")
+        save_model(drafter, tmp_path / "drafter.model")
+        monkeypatch.setattr(specdec, "_Uniforms", synth.LargestUniform)
+        code = main(["decode", "--target", str(tmp_path / "target.model"),
+                     "--drafter", str(tmp_path / "drafter.model"), "--prompt", "c",
+                     "--T", "1", "--K", "1", "--max-new", "3"])
+        assert code == 0
+        assert capsys.readouterr().out == "bbb\n"
+
 
 class TestExitCodes:
     def test_usage_error_is_2(self, ws):
@@ -180,6 +194,12 @@ class TestExitCodes:
         proc = run_cli("decode", "--target", "target_de.model", "--drafter",
                        "target_de.model", "--prompt", "x", "--T", "-1", cwd=ws)
         assert proc.returncode == 6
+
+    def test_draft_len_above_the_maximum_is_6(self, ws):
+        proc = run_cli("decode", "--target", "target_de.model", "--drafter", "target_de.model",
+                       "--prompt", "x", "--K", "1000000000", "--max-new", "1", cwd=ws)
+        assert proc.returncode == 6
+        assert proc.stderr.startswith("error: invalid: draft_len must be between 1 and")
 
     def test_non_finite_decode_temperature_is_6(self, ws):
         for t in ("nan", "inf"):

@@ -1,4 +1,5 @@
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -31,7 +32,7 @@ from specdesk import (
     verify_stochastic,
     with_task_prompts,
 )
-from specdesk import specdec
+from specdesk import lm, specdec
 from specdesk.core import (ACCEPT_STREAM, DRAFT_STREAM, GENERATE_STREAM, UNK_ID, decode_tokens,
                            make_rng, sample)
 
@@ -204,6 +205,37 @@ class TestScoreOnDemand:
             ctx.extend(d.tokens[i:i + 1])
         assert len(lengths) == 41 and max(lengths) <= 2 * (m.order - 1)
 
+    def test_rows_of_a_prompt_shorter_than_the_order_equal_eager_scoring(self):
+        # The tail is shorter than order - 1 here, and rows past order - 1
+        # read only draft tokens; by index and inside the verifiers alike.
+        m = chain_model("abcabdacbadcbbda", order=4, k=0.2)
+        for prompt in ([], encode("a", m.vocab), encode("ca", m.vocab)):
+            for seed in range(4):
+                d = draft(m, prompt, 7, 1.0, make_rng(seed, DRAFT_STREAM))
+                eager = [m.next_dist(prompt + list(d.tokens[:j])) for j in range(len(d) + 1)]
+                rows = score_parallel(m, prompt, d, 1.0)
+                for j in range(len(d) + 1):
+                    assert np.array_equal(rows[j].probs, eager[j].probs)
+                scored = []
+                m.next_dist = lambda ctx: scored.append(NGramModel.next_dist(m, ctx)) or scored[-1]
+                rows = score_parallel(m, prompt, d, 1.0)
+                del m.next_dist
+                accept_all = FixedUniforms([0.0] * len(d) + [0.5])
+                assert verify_stochastic(d, rows, accept_all).accepted_count == len(d)
+                assert [q.probs.tolist() for q in scored] == [q.probs.tolist() for q in eager]
+
+    def test_verifiers_score_rows_without_indexing_them(self, saved_pair, monkeypatch):
+        target_path, drafter_path, prompts = saved_pair
+        target, drafter = load_model(target_path), load_model(drafter_path)
+        cfgs = [SpecConfig(draft_len=5, temperature=t, max_new_tokens=40, seed=1)
+                for t in (0.0, 0.7)]
+        want = [decode_speculative(target, drafter, prompts[0], cfg) for cfg in cfgs]
+        monkeypatch.setattr(specdec._TargetRows, "__getitem__", None)
+        monkeypatch.setattr(specdec._TargetRows, "__len__", None)
+        for cfg, (want_out, want_stats) in zip(cfgs, want):
+            got_out, got_stats = decode_speculative(target, drafter, prompts[0], cfg)
+            assert got_out == want_out and got_stats.to_dict() == want_stats.to_dict()
+
     def test_target_scores_only_the_rows_verification_reads(self, saved_pair):
         target_path, drafter_path, prompts = saved_pair
         for temperature in (0.0, 0.7, 1.0):
@@ -323,6 +355,17 @@ class TestVerifyStochastic:
         assert out.accepted_count == 1
         assert out.bonus == 1
 
+    def test_vanished_residual_takes_the_correction_from_q(self):
+        target, drafter = synth.rounding_pair()
+        unseen = encode("c", target.vocab)
+        q, p = target.next_dist(unseen), drafter.next_dist(unseen)
+        assert q.p(4) / p.p(4) == 1 - 2**-53
+        with pytest.raises(ValueError, match="vanished"):
+            residual_dist(q, p)
+        out = verify_stochastic(Draft((4,), (p,)), [q, q], FixedUniforms([1 - 2**-53, 0.5]))
+        assert out.accepted_count == 0
+        assert out.correction == sample(q, FixedUniforms([0.5]))
+
     def test_length_mismatch_rejected(self):
         p = dist(0.5, 0.5)
         d = Draft((0,), (p,))
@@ -365,6 +408,7 @@ class TestVerifyGreedy:
         d = Draft((0,), (dist(1.0, 0.0),))
         targets = [dist(0.0, 1.0), dist(1.0, 0.0)]
         assert verify_greedy(d, targets) == verify_greedy(d, targets)
+        assert verify_greedy(d, targets) is verify_greedy(d, targets)
 
 
 def enumerate_one_step_law(p: Distribution, q: Distribution) -> np.ndarray:
@@ -489,6 +533,16 @@ class TestDecodeSpeculative:
         decode_speculative(target, drafter, prompt, SpecConfig(3, 0.7, 20, seed=4))
         assert streams == [DRAFT_STREAM, ACCEPT_STREAM]
 
+    def test_largest_uniform_on_rounding_pair_decodes(self, monkeypatch):
+        # Every uniform is 1 - 2**-53, so the first drafted token, at a
+        # context neither model has seen, is rejected with a vanished residual.
+        monkeypatch.setattr(specdec, "_Uniforms", synth.LargestUniform)
+        target, drafter = synth.rounding_pair()
+        cfg = SpecConfig(draft_len=1, temperature=1.0, max_new_tokens=3)
+        out, stats = decode_speculative(target, drafter, encode("c", target.vocab), cfg)
+        assert stats.accepted_per_cycle[0] == 0
+        assert len(out) == 3
+
     def test_emitted_per_cycle_in_bounds(self):
         target = chain_model("xyzzyx", order=2, k=0.4)
         drafter = chain_model("zzz", order=2, k=0.4, vocab=target.vocab)
@@ -506,6 +560,11 @@ class TestSpecConfig:
             SpecConfig(temperature=-0.5)
         with pytest.raises(ValueError):
             SpecConfig(max_new_tokens=0)
+
+    def test_draft_len_is_bounded(self):
+        assert SpecConfig(draft_len=specdec.MAX_DRAFT_LEN).draft_len == specdec.MAX_DRAFT_LEN
+        with pytest.raises(ValueError, match=f"between 1 and {specdec.MAX_DRAFT_LEN}, got"):
+            SpecConfig(draft_len=specdec.MAX_DRAFT_LEN + 1)
 
     def test_non_finite_temperature_rejected(self):
         for t in (float("nan"), float("inf")):
@@ -700,6 +759,146 @@ class TestReferenceDecoder:
                     assert generate(load_model(target_path), prompt, sampler, 150) == want
 
 
+class SymbolicUniform:
+    """A uniform known only to lie in [lo, hi). The decoders read a uniform
+    only by comparing it, u < c, so a comparison whose c falls inside the
+    interval splits it, and the path source picks the side."""
+
+    __slots__ = ("paths", "lo", "hi")
+
+    def __init__(self, paths):
+        self.paths, self.lo, self.hi = paths, 0.0, 1.0
+
+    def __lt__(self, c):
+        if self.hi <= c:
+            return True
+        if self.lo >= c:
+            return False
+        below = self.paths.decide()
+        if below:
+            self.hi = c
+        else:
+            self.lo = c
+        return below
+
+
+class SymbolicPaths:
+    """Stands in for the decoders' uniform sources and walks every path of a
+    decode depth first, replaying it from the start once per path. A path's
+    probability is the product of its uniforms' interval widths."""
+
+    MAX_DRAWS = 200  # a decode that never ends fails instead of hanging
+
+    def __init__(self):
+        self.prefix, self.decisions, self.uniforms = [], [], []
+
+    def __call__(self, rng):
+        return self
+
+    def random(self):
+        assert len(self.uniforms) < self.MAX_DRAWS, "the decode drew too many uniforms"
+        u = SymbolicUniform(self)
+        self.uniforms.append(u)
+        return u
+
+    def decide(self):
+        i = len(self.decisions)
+        self.decisions.append(self.prefix[i] if i < len(self.prefix) else True)
+        return self.decisions[-1]
+
+    def law(self, run):
+        """{run(): probability} over every path, and the number of paths."""
+        law, pending, paths = defaultdict(float), [[]], 0
+        while pending:
+            self.prefix, self.decisions, self.uniforms = pending.pop(), [], []
+            law[run()] += math.prod(u.hi - u.lo for u in self.uniforms)
+            paths += 1
+            pending.extend(self.decisions[:i] + [not self.decisions[i]]
+                           for i in range(len(self.prefix), len(self.decisions)))
+        return law, paths
+
+
+def target_only_law(target, prompt, temperature, max_new):
+    """Exact law of the continuation target-only sampling emits."""
+    law = defaultdict(float)
+
+    def walk(out, prob):
+        if len(out) == max_new:
+            law[tuple(out)] += prob
+            return
+        q = apply_temperature(target.next_dist(list(prompt) + out), temperature)
+        for token, q_tok in enumerate(q.probs.tolist()):
+            if q_tok == 0.0:
+                continue
+            if token == EOS_ID:
+                law[tuple(out)] += prob * q_tok
+            else:
+                walk(out + [token], prob * q_tok)
+
+    walk([], 1.0)
+    return law
+
+
+class TestExactLaw:
+    """Every path of decode_speculative and of generate, walked with symbolic
+    uniforms, gives each continuation exactly its target-only probability.
+    Each speculative path also keeps the cycles' emitted stream: its output
+    and stats are that stream cut at the first <eos> or the budget."""
+
+    @staticmethod
+    def _pairs():
+        vocab = build_vocab("ab")
+        target, drafter = synth.rounding_pair()
+        return (
+            (target, drafter, encode("a", vocab)),
+            (chain_model("abba", order=2, k=0.2, vocab=vocab),
+             chain_model("ab", order=1, k=1.0, vocab=vocab), []),
+        )
+
+    @staticmethod
+    def _decode(target, drafter, prompt, cfg, cycles):
+        cycles.clear()
+        out, stats = decode_speculative(target, drafter, prompt, cfg)
+        stream = [t for d, outcome in cycles for t in outcome.emitted(d)]
+        cut = min(stream.index(EOS_ID) if EOS_ID in stream else len(stream),
+                  cfg.max_new_tokens)
+        emitted = cut + (cut < len(stream) and stream[cut] == EOS_ID)
+        assert out == stream[:cut]
+        assert stats.accepted_per_cycle == [o.accepted_count for _, o in cycles]
+        assert stats.drafter_calls == sum(len(d) for d, _ in cycles)
+        assert (stats.emitted_tokens, stats.truncated_tokens) == (emitted, len(stream) - emitted)
+        return tuple(out)
+
+    def test_decode_and_generate_follow_the_target_law(self, monkeypatch):
+        paths = SymbolicPaths()
+        cycles = []
+        for module in (specdec, lm):
+            monkeypatch.setattr(module, "_Uniforms", paths)
+            monkeypatch.setattr(module, "make_rng", lambda *args: None)
+        for name in ("verify_greedy", "verify_stochastic"):
+            def recording(d, *args, verify=getattr(specdec, name)):
+                outcome = verify(d, *args)
+                cycles.append((d, outcome))
+                return outcome
+            monkeypatch.setattr(specdec, name, recording)
+        for target, drafter, prompt in self._pairs():
+            for temperature in (0.0, 0.3, 0.7, 1.0):
+                for max_new in (2, 3):
+                    want = target_only_law(target, prompt, temperature, max_new)
+                    sampler = SamplerConfig(temperature)
+                    got, count = paths.law(
+                        lambda: tuple(generate(target, prompt, sampler, max_new)))
+                    laws = [(got, count)]
+                    for k in (1, 2):
+                        cfg = SpecConfig(k, temperature, max_new)
+                        laws.append(paths.law(
+                            lambda: self._decode(target, drafter, prompt, cfg, cycles)))
+                    for got, count in laws:
+                        assert count == 1 if temperature == 0.0 else count > 1
+                        for out in set(got) | set(want):
+                            assert abs(got[out] - want[out]) <= 1e-12, out
+
+
 class TestReservedIdEmission:
     """Add-k smoothing gives <bos> and <unk> mass, so at T > 0 both can be
     emitted; they count as emitted tokens and render as ''."""
@@ -726,16 +925,25 @@ class TestTracedNames:
     """specbench's tracer times a cycle by replacing these specdec globals and
     NGramModel.next_dist with wrappers; a cycle that bypassed one would
     leave its span empty, and the per-position acceptance reads len() of
-    each draft and accepted_count of each verifier's result."""
+    each draft and accepted_count of each verifier's result. The spans of
+    draft, score and verify cover a cycle's model work only if every model
+    call sits inside draft or a verifier."""
 
     def test_each_traced_name_is_called_through_its_global(self, saved_pair, monkeypatch):
         target_path, drafter_path, prompts = saved_pair
         target, drafter = load_model(target_path), load_model(drafter_path)
         calls = {}
+        stack = []
+        enclosing = []  # (name, names of the wrappers it was called inside)
 
         def counting(name, fn, check=None):
             def wrapper(*args, **kwargs):
-                result = fn(*args, **kwargs)
+                enclosing.append((name, tuple(stack)))
+                stack.append(name)
+                try:
+                    result = fn(*args, **kwargs)
+                finally:
+                    stack.pop()
                 calls[name] = calls.get(name, 0) + 1
                 if check is not None:
                     check(result)
@@ -755,11 +963,16 @@ class TestTracedNames:
                                 counting(name, getattr(specdec, name), checks.get(name)))
         monkeypatch.setattr(NGramModel, "next_dist", counting("next_dist", NGramModel.next_dist))
         common = {"draft", "score_parallel", "apply_temperature", "sample", "next_dist"}
+        model_work = {"next_dist", "apply_temperature", "sample", "residual_dist"}
         for temperature, verifier, extra in ((0.0, "verify_greedy", set()),
                                              (0.7, "verify_stochastic", {"residual_dist"})):
             calls.clear()
+            enclosing.clear()
             cfg = SpecConfig(draft_len=5, temperature=temperature, max_new_tokens=60, seed=1)
             _, stats = decode_speculative(target, drafter, prompts[0], cfg)
             assert set(calls) == common | {verifier} | extra
             for name in ("draft", "score_parallel", verifier):
                 assert calls[name] == stats.cycles
+            outside = [(name, names) for name, names in enclosing
+                       if name in model_work and not {"draft", verifier} & set(names)]
+            assert outside == []
