@@ -21,7 +21,7 @@ from ._version import __version__
 from .core import BENCH_STREAM, derive_seed, encode, write_lines
 # generate is not called here; specbench's tracer patches bench.generate.
 from .lm import Corpus, NGramModel, finetune, generate, truncate_corpus  # noqa: F401
-from .specdec import DecodeStats, SpecConfig, VocabularyMismatchError, decode_speculative
+from .specdec import DecodeStats, SpecConfig, decode_speculative
 
 GRID_COLUMNS = ("drafter", "corpus", "temperature", "K", "seed_count",
                 "mean_accepted", "std_accepted", "cost_speedup", "std_speedup",
@@ -123,7 +123,8 @@ def _average_ranks(values: Sequence[float]) -> np.ndarray:
 @dataclass(frozen=True)
 class ExperimentGrid:
     """Axes of an evaluation grid: named drafters crossed with named corpora,
-    temperatures and seeds, at a fixed draft length."""
+    temperatures and seeds, at a fixed draft length. The draft length, each
+    temperature and each corpus (it must have records) are checked here."""
 
     drafters: dict
     corpora: dict
@@ -136,6 +137,35 @@ class ExperimentGrid:
             raise ValueError("grid axes must be non-empty")
         object.__setattr__(self, "temperatures", tuple(self.temperatures))
         object.__setattr__(self, "seeds", tuple(self.seeds))
+        for temperature in self.temperatures:
+            SpecConfig(draft_len=self.draft_len, temperature=temperature)
+        for name, corpus in self.corpora.items():
+            if not corpus.records:
+                raise ValueError(f"corpus {name!r} has no records")
+
+
+@dataclass(frozen=True)
+class EvalConfig:
+    """Evaluation knobs of a scaling curve or one grid temperature. Every value
+    a decode would reject raises ValueError here, with the decoder's message;
+    max_prompts None decodes every prompt."""
+
+    draft_len: int = 5
+    temperature: float = 0.0
+    max_new_tokens: int = 48
+    seeds: tuple[int, ...] = (0, 1, 2)
+    cost: CostModel = CostModel()
+    finetune_weight: float = 1.0
+    max_prompts: Optional[int] = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "seeds", tuple(self.seeds))
+        if not self.seeds:
+            raise ValueError("at least one seed is required")
+        SpecConfig(self.draft_len, self.temperature, self.max_new_tokens)
+        if self.max_prompts is not None and self.max_prompts < 1:
+            raise ValueError(f"max_prompts must be >= 1 (or unset for all), "
+                             f"got {self.max_prompts!r}")
 
 
 @dataclass(frozen=True)
@@ -200,12 +230,6 @@ class GridResult:
         return ReportTable(GRID_COLUMNS, rows, {"K": str(self.draft_len)})
 
 
-def _check_max_prompts(max_prompts: Optional[int]) -> None:
-    """None means every prompt; otherwise at least one must be decoded."""
-    if max_prompts is not None and max_prompts < 1:
-        raise ValueError(f"max_prompts must be >= 1 (or unset for all), got {max_prompts!r}")
-
-
 def _decode_corpus(target: NGramModel, drafter: NGramModel, corpus: Corpus,
                    draft_len: int, temperature: float, max_new_tokens: int,
                    seed: int, max_prompts: Optional[int]) -> DecodeStats:
@@ -227,97 +251,60 @@ def _decoded_seeds(temperature: float, seeds: tuple[int, ...]) -> tuple[int, ...
     return seeds[:1] if temperature == 0 else seeds
 
 
-def _eval_cell(payload) -> tuple[str, tuple]:
-    """Evaluate one grid cell; returns ('ok', metrics) or ('error', message).
+def _eval_seed(target: NGramModel, drafter: NGramModel, corpus: Corpus,
+               cfg: EvalConfig, seed: int) -> tuple[float, float, float, int]:
+    """Decode corpus with one seed: mean accepted, cost speedup, acceptance
+    rate and emitted tokens. Top level so it pickles for worker processes."""
+    merged = _decode_corpus(target, drafter, corpus, cfg.draft_len, cfg.temperature,
+                            cfg.max_new_tokens, seed, cfg.max_prompts)
+    return (mean_accepted(merged), cost_speedup(merged, cfg.cost),
+            acceptance_rate(merged), merged.emitted_tokens)
 
-    Top level so it pickles for worker processes; per-cell results are merged
-    back in deterministic grid order regardless of scheduling.
-    """
-    (target, drafter, drafter_name, corpus, draft_len,
-     temperature, max_new_tokens, seed, max_prompts, cm) = payload
-    try:
-        if drafter.vocab != target.vocab:
-            raise VocabularyMismatchError(
-                f"drafter {drafter_name!r} does not share the target vocabulary")
-        merged = _decode_corpus(target, drafter, corpus, draft_len,
-                                temperature, max_new_tokens, seed, max_prompts)
-        return "ok", (mean_accepted(merged), cost_speedup(merged, cm),
-                      acceptance_rate(merged), merged.emitted_tokens)
-    except (VocabularyMismatchError, ValueError) as exc:
-        return "error", (str(exc),)
+
+def _summarise(decoded: list[tuple], seed_count: int) -> tuple[list[tuple], tuple]:
+    """Per-seed results (a greedy decode stands for every seed) and the trailing
+    fields of GridRow over them; ScalingPoint's are the first four."""
+    if len(decoded) < seed_count:
+        decoded = decoded * seed_count
+    acc, spd, rate, tokens = zip(*decoded)
+    return decoded, (*_mean_std(acc), *_mean_std(spd), _mean_std(rate)[0], _mean_std(tokens)[0])
 
 
 def run_grid(target: NGramModel, grid: ExperimentGrid, *,
              max_new_tokens: int = 64, cost: Optional[CostModel] = None,
              max_prompts: Optional[int] = None, jobs: int = 1) -> GridResult:
     """Evaluate every (drafter, corpus, temperature, seed) cell and aggregate
-    mean and population std over seeds. A cell whose drafter does not share the
-    target's vocabulary is recorded as an error and the run continues. Cells
-    are independent; jobs > 1 fans them out over worker processes without
-    changing any result."""
-    _check_max_prompts(max_prompts)
-    cm = cost if cost is not None else CostModel()
-    groups = [(dn, cn, t)
-              for dn in grid.drafters
-              for cn in grid.corpora
-              for t in grid.temperatures]
-    payloads = [(target, grid.drafters[dn], dn, grid.corpora[cn], grid.draft_len,
-                 t, max_new_tokens, s, max_prompts, cm)
-                for dn, cn, t in groups for s in _decoded_seeds(t, grid.seeds)]
-    if jobs > 1:
+    mean and population std over seeds. An invalid knob raises ValueError from
+    its EvalConfig before anything is decoded. A drafter that does not share the
+    target's vocabulary is not decoded; each of its cells is an error. jobs > 1
+    fans cells out over worker processes without changing any result."""
+    cfgs = [EvalConfig(grid.draft_len, t, max_new_tokens, grid.seeds,
+                       cost if cost is not None else CostModel(), max_prompts=max_prompts)
+            for t in grid.temperatures]
+    mismatched = {dn for dn, d in grid.drafters.items() if d.vocab != target.vocab}
+    groups = [(dn, cn, cfg) for dn in grid.drafters for cn in grid.corpora for cfg in cfgs]
+    payloads = [(target, grid.drafters[dn], grid.corpora[cn], cfg, s)
+                for dn, cn, cfg in groups if dn not in mismatched
+                for s in _decoded_seeds(cfg.temperature, grid.seeds)]
+    # One result per payload, in payload order.
+    if jobs > 1 and payloads:
         from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_eval_cell, payloads))
+            results = iter(list(pool.map(_eval_seed, *zip(*payloads))))
     else:
-        outcomes = [_eval_cell(p) for p in payloads]
-    results = iter(outcomes)  # one per payload, in payload order
-
-    cells: list[GridCell] = []
-    errors: list[GridCellError] = []
-    rows: list[GridRow] = []
-    for drafter_name, corpus_name, temperature in groups:
-        decoded = [next(results) for _ in _decoded_seeds(temperature, grid.seeds)]
-        if len(decoded) < len(grid.seeds):  # a greedy cell's one outcome stands for all
-            decoded *= len(grid.seeds)
-        per_seed: list[GridCell] = []
-        for seed, (status, result) in zip(grid.seeds, decoded):
-            if status == "error":
-                errors.append(GridCellError(drafter_name, corpus_name, temperature, seed, result[0]))
-            else:
-                per_seed.append(GridCell(drafter_name, corpus_name, temperature, seed, *result))
-        if not per_seed:
+        results = (_eval_seed(*p) for p in payloads)
+    cells, errors, rows = [], [], []
+    for dn, cn, cfg in groups:
+        t = cfg.temperature
+        if dn in mismatched:
+            message = f"drafter {dn!r} does not share the target vocabulary"
+            errors.extend(GridCellError(dn, cn, t, seed, message) for seed in grid.seeds)
             continue
-        cells.extend(per_seed)
-        acc_mean, acc_std = _mean_std([c.mean_accepted for c in per_seed])
-        spd_mean, spd_std = _mean_std([c.cost_speedup for c in per_seed])
-        rows.append(GridRow(
-            drafter=drafter_name, corpus=corpus_name, temperature=temperature,
-            draft_len=grid.draft_len, seed_count=len(per_seed),
-            mean_accepted=acc_mean, std_accepted=acc_std,
-            cost_speedup=spd_mean, std_speedup=spd_std,
-            acceptance_rate=_mean_std([c.acceptance_rate for c in per_seed])[0],
-            tokens=_mean_std([float(c.tokens) for c in per_seed])[0],
-        ))
+        decoded, summary = _summarise(
+            [next(results) for _ in _decoded_seeds(t, grid.seeds)], len(grid.seeds))
+        cells.extend(GridCell(dn, cn, t, seed, *r) for seed, r in zip(grid.seeds, decoded))
+        rows.append(GridRow(dn, cn, t, grid.draft_len, len(grid.seeds), *summary))
     return GridResult(tuple(rows), tuple(cells), tuple(errors), grid.draft_len)
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    """Shared evaluation knobs for scaling curves."""
-
-    draft_len: int = 5
-    temperature: float = 0.0
-    max_new_tokens: int = 48
-    seeds: tuple[int, ...] = (0, 1, 2)
-    cost: CostModel = CostModel()
-    finetune_weight: float = 1.0
-    max_prompts: Optional[int] = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "seeds", tuple(self.seeds))
-        if not self.seeds:
-            raise ValueError("at least one seed is required")
-        _check_max_prompts(self.max_prompts)
 
 
 @dataclass(frozen=True)
@@ -357,7 +344,8 @@ def scaling_curve(target: NGramModel, drafter_base: NGramModel, finetune_corpus:
     """Finetune a fresh copy of the drafter at each token budget and evaluate
     it against the target, reporting the Spearman correlation between log
     budget and each metric. Budgets beyond the corpus size clamp with a
-    warning; budgets must be strictly increasing and positive."""
+    warning. Budgets must be strictly increasing and positive and the eval
+    corpus non-empty; both are checked before the first finetune."""
     budgets = [int(b) for b in token_budgets]
     if not budgets:
         raise ValueError("at least one token budget is required")
@@ -365,6 +353,8 @@ def scaling_curve(target: NGramModel, drafter_base: NGramModel, finetune_corpus:
         raise ValueError("token budgets must be > 0")
     if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
         raise ValueError("token budgets must be strictly increasing")
+    if not eval_corpus.records:
+        raise ValueError("eval corpus has no records")
     available = finetune_corpus.token_count()
     points = []
     for budget in budgets:
@@ -373,21 +363,10 @@ def scaling_curve(target: NGramModel, drafter_base: NGramModel, finetune_corpus:
             warnings.warn(f"token budget {budget} exceeds corpus size {available}; clamping")
         subset = truncate_corpus(finetune_corpus, min(budget, available))
         tuned = finetune(drafter_base, subset, cfg.finetune_weight)
-        decoded = []
-        for seed in _decoded_seeds(cfg.temperature, cfg.seeds):
-            merged = _decode_corpus(target, tuned, eval_corpus, cfg.draft_len,
-                                    cfg.temperature, cfg.max_new_tokens, seed,
-                                    cfg.max_prompts)
-            decoded.append((mean_accepted(merged), cost_speedup(merged, cfg.cost)))
-        if len(decoded) < len(cfg.seeds):  # a greedy point's one decode stands for all
-            decoded *= len(cfg.seeds)
-        per_seed_acc, per_seed_spd = zip(*decoded)
-        acc_mean, acc_std = _mean_std(per_seed_acc)
-        spd_mean, spd_std = _mean_std(per_seed_spd)
-        points.append(ScalingPoint(budget=budget, tokens_used=subset.token_count(),
-                                   clamped=clamped,
-                                   mean_accepted=acc_mean, std_accepted=acc_std,
-                                   cost_speedup=spd_mean, std_speedup=spd_std))
+        decoded = [_eval_seed(target, tuned, eval_corpus, cfg, seed)
+                   for seed in _decoded_seeds(cfg.temperature, cfg.seeds)]
+        summary = _summarise(decoded, len(cfg.seeds))[1]
+        points.append(ScalingPoint(budget, subset.token_count(), clamped, *summary[:4]))
     log_budgets = [float(np.log(p.budget)) for p in points]
     rho_acc = spearman(log_budgets, [p.mean_accepted for p in points])
     rho_spd = spearman(log_budgets, [p.cost_speedup for p in points])

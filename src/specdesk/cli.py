@@ -194,12 +194,12 @@ def cmd_decode(args) -> int:
     temperature = _resolve(args.T, cfg, "T", default=0.0, parse=float)
     draft_len = _resolve(args.K, cfg, "K", default=5, parse=int)
     max_new = _resolve(args.max_new, cfg, "max_new", default=128, parse=int)
+    spec = SpecConfig(draft_len=draft_len, temperature=temperature,
+                      max_new_tokens=max_new, seed=args.seed)
     if prompt == "-":
         prompt = sys.stdin.read().rstrip("\r\n")
     target = load_model(target_path)
     drafter = load_model(drafter_path)
-    spec = SpecConfig(draft_len=draft_len, temperature=temperature,
-                      max_new_tokens=max_new, seed=args.seed)
     tokens, stats = decode_speculative(target, drafter, encode(prompt, target.vocab), spec)
     print(decode_tokens(tokens, target.vocab))
     if args.stats:
@@ -207,43 +207,51 @@ def cmd_decode(args) -> int:
     return EXIT_OK
 
 
-def _load_named_models(section: dict) -> dict:
+def _load_named(section: dict, what: str, load) -> dict:
     if not section:
-        raise UsageError("config must list at least one drafter")
-    return {name: load_model(path) for name, path in section.items()}
+        raise UsageError(f"config must list at least one {what}")
+    return {name: load(path) for name, path in section.items()}
 
 
-def _load_named_corpora(section: dict) -> dict:
-    if not section:
-        raise UsageError("config must list at least one corpus")
-    return {name: load_corpus(path) for name, path in section.items()}
+# [grid]/[scaling] evaluation keys -> (library argument, parser). Only the keys
+# a config sets are passed, so an omitted key takes the library default.
+_EVAL_KEYS = {
+    "K": ("draft_len", int),
+    "temps": ("temperatures", _floats),
+    "temperature": ("temperature", float),
+    "seeds": ("seeds", _ints),
+    "max_new": ("max_new_tokens", int),
+    "max_prompts": ("max_prompts", int),
+    "cost_c": ("cost", lambda raw: CostModel(float(raw))),
+    "weight": ("finetune_weight", float),
+}
+
+
+def _bench_config(args, section: str, required: tuple[str, ...], keys: tuple[str, ...]):
+    """The config, its [section], and library arguments for the evaluation keys
+    the section sets. A required key missing exits 2, a key not read exits 4."""
+    if not args.config:
+        raise UsageError(f"bench {args.subcmd} requires --config")
+    config = parse_config(args.config)
+    values = config.get(section, {})
+    for key in required:
+        if key not in values:
+            raise UsageError(f"config [{section}] must set {key}")
+    for key in values:
+        if key not in required and key not in keys:
+            raise FormatError(f"{args.config}: unknown key {key!r} in [{section}]")
+    return config, values, {_EVAL_KEYS[k][0]: _EVAL_KEYS[k][1](values[k])
+                            for k in keys if k in values}
 
 
 def cmd_bench_grid(args) -> int:
-    if not args.config:
-        raise UsageError("bench grid requires --config")
-    config = parse_config(args.config)
-    grid_cfg = config.get("grid", {})
-    if "target" not in grid_cfg:
-        raise UsageError("config [grid] must set target")
+    config, grid_cfg, kwargs = _bench_config(
+        args, "grid", ("target",), ("K", "temps", "seeds", "max_new", "max_prompts", "cost_c"))
+    axes = {k: kwargs.pop(k) for k in ("draft_len", "temperatures", "seeds") if k in kwargs}
     target = load_model(grid_cfg["target"])
-    drafters = _load_named_models(config.get("grid.drafters", {}))
-    corpora = _load_named_corpora(config.get("grid.corpora", {}))
-    grid = ExperimentGrid(
-        drafters=drafters,
-        corpora=corpora,
-        temperatures=_floats(grid_cfg.get("temps", "0.0")),
-        seeds=_ints(grid_cfg.get("seeds", "0,1,2")),
-        draft_len=int(grid_cfg.get("K", "5")),
-    )
-    max_prompts = int(grid_cfg["max_prompts"]) if "max_prompts" in grid_cfg else None
-    result = run_grid(
-        target, grid,
-        max_new_tokens=int(grid_cfg.get("max_new", "64")),
-        cost=CostModel(float(grid_cfg.get("cost_c", "0.1"))),
-        max_prompts=max_prompts,
-        jobs=args.jobs,
-    )
+    drafters = _load_named(config.get("grid.drafters", {}), "drafter", load_model)
+    corpora = _load_named(config.get("grid.corpora", {}), "corpus", load_corpus)
+    result = run_grid(target, ExperimentGrid(drafters, corpora, **axes), **kwargs, jobs=args.jobs)
     csv_path, md_path = emit_report(result.to_table(), args.out_dir, basename="grid")
     for err in result.errors:
         _note(f"cell error: {err.drafter}/{err.corpus}/T={err.temperature}/seed={err.seed}: {err.message}")
@@ -252,26 +260,14 @@ def cmd_bench_grid(args) -> int:
 
 
 def cmd_bench_scaling(args) -> int:
-    if not args.config:
-        raise UsageError("bench scaling requires --config")
-    config = parse_config(args.config)
-    sc = config.get("scaling", {})
-    for key in ("target", "drafter", "corpus", "eval", "budgets"):
-        if key not in sc:
-            raise UsageError(f"config [scaling] must set {key}")
+    _, sc, kwargs = _bench_config(
+        args, "scaling", ("target", "drafter", "corpus", "eval", "budgets"),
+        ("K", "temperature", "seeds", "max_new", "max_prompts", "cost_c", "weight"))
+    cfg = EvalConfig(**kwargs)
     target = load_model(sc["target"])
     drafter_base = load_model(sc["drafter"])
     corpus = load_corpus(sc["corpus"])
     eval_corpus = load_corpus(sc["eval"])
-    cfg = EvalConfig(
-        draft_len=int(sc.get("K", "5")),
-        temperature=float(sc.get("temperature", "0.0")),
-        max_new_tokens=int(sc.get("max_new", "48")),
-        seeds=_ints(sc.get("seeds", "0,1,2")),
-        cost=CostModel(float(sc.get("cost_c", "0.1"))),
-        finetune_weight=float(sc.get("weight", "1.0")),
-        max_prompts=int(sc["max_prompts"]) if "max_prompts" in sc else None,
-    )
     curve = scaling_curve(target, drafter_base, corpus, _ints(sc["budgets"]), eval_corpus, cfg)
     csv_path, md_path = emit_report(curve.to_table(), args.out_dir, basename="scaling")
     _note(f"wrote {csv_path} and {md_path} "

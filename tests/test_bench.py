@@ -132,6 +132,19 @@ def counting_decodes():
         yield calls
 
 
+# Each knob a decode would reject, and an eval corpus without records.
+INVALID_KNOBS = [
+    pytest.param({"max_prompts": 0}, id="max_prompts_0"),
+    pytest.param({"max_prompts": -1}, id="max_prompts_neg"),
+    pytest.param({"draft_len": 0}, id="draft_len_0"),
+    pytest.param({"draft_len": 1025}, id="draft_len_1025"),
+    pytest.param({"temperature": -1.0}, id="T_neg"),
+    pytest.param({"temperature": float("nan")}, id="T_nan"),
+    pytest.param({"max_new_tokens": 0}, id="max_new_0"),
+    pytest.param({"corpus": Corpus(())}, id="empty_corpus"),
+]
+
+
 @pytest.fixture(scope="module")
 def trained_pair():
     """Shared-vocab target plus in-domain (de) and out-of-domain (ru) drafters."""
@@ -226,12 +239,18 @@ class TestRunGrid:
         assert len(result.cells) == 12 and len(result.errors) == 12
         assert run_grid(target, grid, max_new_tokens=8, max_prompts=3, jobs=2) == result
 
-    def test_max_prompts_below_one_rejected(self, trained_pair):
+    @pytest.mark.parametrize("bad", INVALID_KNOBS)
+    def test_invalid_value_rejected_before_decoding(self, trained_pair, bad):
         target, _, d_de, _, eval_de, _ = trained_pair
-        grid = ExperimentGrid({"de": d_de}, {"de": eval_de}, seeds=(0,), draft_len=3)
-        for bad in (0, -1):
-            with pytest.raises(ValueError, match="max_prompts"):
-                run_grid(target, grid, max_new_tokens=8, max_prompts=bad)
+        knobs = {"draft_len": 3, "temperature": 0.0, "max_new_tokens": 8,
+                 "max_prompts": 3, "corpus": eval_de, **bad}
+        with counting_decodes() as calls, pytest.raises(ValueError):
+            grid = ExperimentGrid({"de": d_de}, {"de": knobs["corpus"]},
+                                  temperatures=(0.5, knobs["temperature"]), seeds=(0,),
+                                  draft_len=knobs["draft_len"])
+            run_grid(target, grid, max_new_tokens=knobs["max_new_tokens"],
+                     max_prompts=knobs["max_prompts"])
+        assert calls == []
 
     def test_empty_axes_rejected(self):
         with pytest.raises(ValueError):
@@ -260,10 +279,18 @@ class TestScalingCurve:
         assert curve.points == every_seed.points
         assert curve.to_table() == every_seed.to_table()
 
-    def test_max_prompts_below_one_rejected(self):
-        for bad in (0, -1):
-            with pytest.raises(ValueError, match="max_prompts"):
-                EvalConfig(max_prompts=bad)
+    @pytest.mark.parametrize("bad", INVALID_KNOBS)
+    def test_invalid_value_rejected_before_decoding(self, trained_pair, bad):
+        target, base, _, _, eval_de, _ = trained_pair
+        knobs = {"draft_len": 3, "temperature": 0.0, "max_new_tokens": 8,
+                 "max_prompts": 3, "corpus": eval_de, **bad}
+        eval_corpus = knobs.pop("corpus")
+        finetunes = []
+        with counting_decodes() as calls, pytest.raises(ValueError), \
+                mock.patch.object(bench, "finetune", lambda *a: finetunes.append(a)):
+            cfg = EvalConfig(seeds=(0,), **knobs)
+            scaling_curve(target, base, eval_de, [10, 20], eval_corpus, cfg)
+        assert calls == [] and finetunes == []
 
     def test_budget_zero_rejected(self, trained_pair):
         target, base, _, _, eval_de, _ = trained_pair

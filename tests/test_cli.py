@@ -173,6 +173,13 @@ class TestExitCodes:
                        "target_de.model", "--prompt", "x", cwd=ws)
         assert proc.returncode == 4
 
+    def test_invalid_flag_is_6_before_any_model_is_read(self, ws):
+        (ws / "broken.model").write_text("not a model\n", encoding="utf-8")
+        proc = run_cli("decode", "--target", "broken.model", "--drafter", "broken.model",
+                       "--prompt", "x", "--K", "0", cwd=ws)
+        assert proc.returncode == 6, proc.stderr
+        assert proc.stderr.startswith("error: invalid: draft_len")
+
     def test_version_mismatch_is_4_with_distinct_kind(self, ws):
         content = (ws / "target_de.model").read_text(encoding="utf-8")
         (ws / "future.model").write_text(content.replace("version=1", "version=9", 1),
@@ -322,6 +329,31 @@ class TestBenchCommands:
         assert proc.returncode == 6, proc.stderr
         assert "max_prompts" in proc.stderr
         assert not (ws / "out0").exists()
+
+    def test_grid_draft_len_zero_is_6(self, ws):
+        text = self._grid_config(ws).read_text(encoding="utf-8")
+        (ws / "grid_k0.cfg").write_text(text.replace("K = 3", "K = 0"), encoding="utf-8")
+        proc = run_cli("bench", "grid", "--config", "grid_k0.cfg", "--out-dir", "outK0", cwd=ws)
+        assert proc.returncode == 6, proc.stderr
+        assert proc.stderr.startswith("error: invalid: draft_len")
+        assert not (ws / "outK0" / "grid.csv").exists()
+
+    def test_unknown_key_is_4(self, ws):
+        text = self._grid_config(ws).read_text(encoding="utf-8")
+        (ws / "grid_unknown.cfg").write_text(text.replace("temps = 0.0", "temperature = 0.7"),
+                                             encoding="utf-8")
+        proc = run_cli("bench", "grid", "--config", "grid_unknown.cfg", "--out-dir", "outU",
+                       cwd=ws)
+        assert proc.returncode == 4, proc.stderr
+        assert proc.stderr.startswith("error: format:") and "'temperature'" in proc.stderr
+        assert not (ws / "outU").exists()
+        (ws / "scaling_unknown.cfg").write_text(
+            "[scaling]\ntarget = t\ndrafter = d\ncorpus = c\neval = e\nbudgets = 1\n"
+            "temps = 0.7\n", encoding="utf-8")
+        proc = run_cli("bench", "scaling", "--config", "scaling_unknown.cfg",
+                       "--out-dir", "scU", cwd=ws)
+        assert proc.returncode == 4, proc.stderr
+        assert "'temps'" in proc.stderr
 
     def test_grid_requires_config(self, ws):
         assert run_cli("bench", "grid", "--out-dir", "x", cwd=ws).returncode == 2
