@@ -230,21 +230,6 @@ class GridResult:
         return ReportTable(GRID_COLUMNS, rows, {"K": str(self.draft_len)})
 
 
-def _decode_corpus(target: NGramModel, drafter: NGramModel, corpus: Corpus,
-                   draft_len: int, temperature: float, max_new_tokens: int,
-                   seed: int, max_prompts: Optional[int]) -> DecodeStats:
-    """Decode the first max_prompts prompts (all when None) in corpus order;
-    prompt i is decoded with derive_seed(seed, BENCH_STREAM, i)."""
-    runs = []
-    for pi, (prompt_text, _) in enumerate(corpus.records[:max_prompts]):
-        ids = encode(prompt_text, target.vocab)
-        cfg = SpecConfig(draft_len=draft_len, temperature=temperature,
-                         max_new_tokens=max_new_tokens,
-                         seed=derive_seed(seed, BENCH_STREAM, pi))
-        runs.append(decode_speculative(target, drafter, ids, cfg)[1])
-    return merge_stats(runs)
-
-
 def _decoded_seeds(temperature: float, seeds: tuple[int, ...]) -> tuple[int, ...]:
     """The seeds a cell is decoded with: greedy (T=0) decoding draws nothing a
     seed changes, so a greedy cell is decoded with its first seed only."""
@@ -253,10 +238,18 @@ def _decoded_seeds(temperature: float, seeds: tuple[int, ...]) -> tuple[int, ...
 
 def _eval_seed(target: NGramModel, drafter: NGramModel, corpus: Corpus,
                cfg: EvalConfig, seed: int) -> tuple[float, float, float, int]:
-    """Decode corpus with one seed: mean accepted, cost speedup, acceptance
-    rate and emitted tokens. Top level so it pickles for worker processes."""
-    merged = _decode_corpus(target, drafter, corpus, cfg.draft_len, cfg.temperature,
-                            cfg.max_new_tokens, seed, cfg.max_prompts)
+    """Decode the first cfg.max_prompts prompts of corpus (all when None), in
+    order, prompt i with derive_seed(seed, BENCH_STREAM, i): mean accepted,
+    cost speedup, acceptance rate and emitted tokens over them. Top level so
+    it pickles for worker processes."""
+    runs = []
+    for pi, (prompt_text, _) in enumerate(corpus.records[:cfg.max_prompts]):
+        spec = SpecConfig(draft_len=cfg.draft_len, temperature=cfg.temperature,
+                          max_new_tokens=cfg.max_new_tokens,
+                          seed=derive_seed(seed, BENCH_STREAM, pi))
+        runs.append(decode_speculative(target, drafter, encode(prompt_text, target.vocab),
+                                       spec)[1])
+    merged = merge_stats(runs)
     return (mean_accepted(merged), cost_speedup(merged, cfg.cost),
             acceptance_rate(merged), merged.emitted_tokens)
 

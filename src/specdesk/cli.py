@@ -1,9 +1,10 @@
 """Command-line surface: vocabulary and corpus management, training,
 distillation, decoding, benchmarking, and drafter routing.
 
-Every command accepts --seed and --config. A config file supplies defaults for
-the command's flags (section named after the command path, e.g.
-[train.pretrain]); explicit flags win. Exit codes are documented in --help.
+Every command accepts --config. A config file supplies values for the
+command's value flags (section named after the command path, e.g.
+[train.pretrain], key named after the flag's dest); explicit flags win. Exit
+codes are documented in --help.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .bench import (
     run_grid,
     scaling_curve,
 )
-from .distill import DistillJob, self_distill, with_task_prompts
+from .distill import DEFAULT_TEMPERATURES, DistillJob, self_distill, with_task_prompts
 from .routing import load_registry, select_drafter
 from .specdec import SpecConfig, VocabularyMismatchError, decode_speculative
 
@@ -72,21 +73,31 @@ def parse_config(path) -> dict:
     return sections
 
 
-def _section(args) -> dict:
-    if not getattr(args, "config", None):
-        return {}
-    return parse_config(args.config).get(args.command_path, {})
+def _reject_unknown(config_path, section: str, values: dict, known) -> None:
+    for key in values:
+        if key not in known:
+            raise FormatError(f"{config_path}: unknown key {key!r} in [{section}]")
 
 
-def _resolve(args_value, cfg: dict, key: str, *, default=None, parse=None, required=False):
-    if args_value is not None:
-        return args_value
-    if key in cfg:
-        raw = cfg[key]
-        return parse(raw) if parse else raw
-    if required:
-        raise UsageError(f"missing required option --{key.replace('_', '-')}")
-    return default
+def _apply_config(args) -> None:
+    """Fill each value flag the user left unset from the command's config
+    section, parsed with the flag's own type (a repeatable flag takes a
+    comma-separated value), then from its default. A required flag still
+    unset exits 2; a key that names no value flag exits 4."""
+    section = parse_config(args.config).get(args.command_path, {}) if args.config else {}
+    _reject_unknown(args.config, args.command_path, section, args.value_flags)
+    for dest, action in args.value_flags.items():
+        if getattr(args, dest) is not None:
+            continue  # an explicit flag wins
+        if dest in section:
+            parse = action.type or str
+            raw = section[dest]
+            repeated = isinstance(action, argparse._AppendAction)
+            setattr(args, dest, [parse(v) for v in raw.split(",")] if repeated else parse(raw))
+        elif dest in args.required:
+            raise UsageError(f"missing required option {action.option_strings[0]}")
+        else:
+            setattr(args, dest, args.flag_defaults.get(dest))
 
 
 def _floats(raw: str) -> tuple[float, ...]:
@@ -100,106 +111,71 @@ def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
-def _maybe_task_prompts(corpus: Corpus, flag: bool) -> Corpus:
-    return with_task_prompts(corpus) if flag else corpus
-
-
-def _maybe_skip_empty(corpus: Corpus, flag: bool) -> Corpus:
-    if not flag:
-        return corpus
-    kept = corpus.without_empty_completions()
-    dropped = len(corpus) - len(kept)
-    if dropped:
-        _note(f"note: skipped {dropped} record(s) with empty completions")
-    return kept
+def _training_corpus(args) -> Corpus:
+    """The --corpus records, instruction-wrapped and without empty completions
+    when --task-prompts and --skip-empty ask for it."""
+    corpus = load_corpus(args.corpus)
+    if args.task_prompts:
+        corpus = with_task_prompts(corpus)
+    if args.skip_empty:
+        kept = corpus.without_empty_completions()
+        if len(kept) < len(corpus):
+            _note(f"note: skipped {len(corpus) - len(kept)} record(s) with empty completions")
+        corpus = kept
+    return corpus
 
 
 def cmd_vocab_build(args) -> int:
-    cfg = _section(args)
-    paths = args.corpus if args.corpus else _resolve(None, cfg, "corpus", parse=lambda v: v.split(","), required=True)
-    out = _resolve(args.out, cfg, "out", required=True)
     chunks = []
-    for path in paths:
+    for path in args.corpus:
         corpus = load_corpus(path)
         for prompt, completion in corpus:
             chunks.append(prompt)
             chunks.append(completion)
     vocab = build_vocab(chunks)
-    save_vocab(vocab, out)
-    _note(f"wrote {out} ({vocab.size} tokens)")
+    save_vocab(vocab, args.out)
+    _note(f"wrote {args.out} ({vocab.size} tokens)")
     return EXIT_OK
 
 
 def cmd_train_pretrain(args) -> int:
-    cfg = _section(args)
-    corpus_path = _resolve(args.corpus, cfg, "corpus", required=True)
-    out = _resolve(args.out, cfg, "out", required=True)
-    order = _resolve(args.order, cfg, "order", default=2, parse=int)
-    k = _resolve(args.k, cfg, "k", default=0.5, parse=float)
-    vocab_path = _resolve(args.vocab, cfg, "vocab")
-    corpus = load_corpus(corpus_path)
-    corpus = _maybe_task_prompts(corpus, args.task_prompts)
-    corpus = _maybe_skip_empty(corpus, args.skip_empty)
-    vocab = load_vocab(vocab_path) if vocab_path else None
-    model = pretrain(corpus, order=order, k=k, vocab=vocab)
-    save_model(model, out)
-    _note(f"wrote {out} (order={order}, k={k}, {len(corpus)} records)")
+    corpus = _training_corpus(args)
+    vocab = load_vocab(args.vocab) if args.vocab else None
+    model = pretrain(corpus, order=args.order, k=args.k, vocab=vocab)
+    save_model(model, args.out)
+    _note(f"wrote {args.out} (order={args.order}, k={args.k}, {len(corpus)} records)")
     return EXIT_OK
 
 
 def cmd_train_finetune(args) -> int:
-    cfg = _section(args)
-    model_path = _resolve(args.model, cfg, "model", required=True)
-    corpus_path = _resolve(args.corpus, cfg, "corpus", required=True)
-    out = _resolve(args.out, cfg, "out", required=True)
-    weight = _resolve(args.weight, cfg, "weight", default=1.0, parse=float)
-    max_tokens = _resolve(args.max_tokens, cfg, "max_tokens", parse=int)
-    model = load_model(model_path)
-    corpus = load_corpus(corpus_path)
-    corpus = _maybe_task_prompts(corpus, args.task_prompts)
-    corpus = _maybe_skip_empty(corpus, args.skip_empty)
-    if max_tokens is not None:
-        corpus = truncate_corpus(corpus, max_tokens)
-    tuned = finetune(model, corpus, weight)
-    save_model(tuned, out)
-    _note(f"wrote {out} ({len(corpus)} records, weight={weight})")
+    model = load_model(args.model)
+    corpus = _training_corpus(args)
+    if args.max_tokens is not None:
+        corpus = truncate_corpus(corpus, args.max_tokens)
+    tuned = finetune(model, corpus, args.weight)
+    save_model(tuned, args.out)
+    _note(f"wrote {args.out} ({len(corpus)} records, weight={args.weight})")
     return EXIT_OK
 
 
 def cmd_distill(args) -> int:
-    cfg = _section(args)
-    target_path = _resolve(args.target, cfg, "target", required=True)
-    prompts_path = _resolve(args.prompts, cfg, "prompts", required=True)
-    out = _resolve(args.out, cfg, "out", required=True)
-    temps = _resolve(args.temps, cfg, "temps", default=(0.0, 0.3, 0.7, 1.0), parse=_floats)
-    samples = _resolve(args.samples, cfg, "samples", default=1, parse=int)
-    max_len = _resolve(args.max_len, cfg, "max_len", default=64, parse=int)
-    wrapper = _resolve(args.wrapper, cfg, "wrapper")
-    target = load_model(target_path)
-    prompts = load_corpus(prompts_path)
-    job = DistillJob(target=target, prompts=prompts, temperatures=temps,
-                     samples_per_temperature=samples, max_len=max_len,
-                     seed=args.seed, wrapper=wrapper)
+    target = load_model(args.target)
+    prompts = load_corpus(args.prompts)
+    job = DistillJob(target=target, prompts=prompts, temperatures=args.temps,
+                     samples_per_temperature=args.samples, max_len=args.max_len,
+                     seed=args.seed, wrapper=args.wrapper)
     corpus = self_distill(job, skip_empty=args.skip_empty)
-    save_corpus(corpus, out)
-    _note(f"wrote {out} ({len(corpus)} records)")
+    save_corpus(corpus, args.out)
+    _note(f"wrote {args.out} ({len(corpus)} records)")
     return EXIT_OK
 
 
 def cmd_decode(args) -> int:
-    cfg = _section(args)
-    target_path = _resolve(args.target, cfg, "target", required=True)
-    drafter_path = _resolve(args.drafter, cfg, "drafter", required=True)
-    prompt = _resolve(args.prompt, cfg, "prompt", required=True)
-    temperature = _resolve(args.T, cfg, "T", default=0.0, parse=float)
-    draft_len = _resolve(args.K, cfg, "K", default=5, parse=int)
-    max_new = _resolve(args.max_new, cfg, "max_new", default=128, parse=int)
-    spec = SpecConfig(draft_len=draft_len, temperature=temperature,
-                      max_new_tokens=max_new, seed=args.seed)
-    if prompt == "-":
-        prompt = sys.stdin.read().rstrip("\r\n")
-    target = load_model(target_path)
-    drafter = load_model(drafter_path)
+    spec = SpecConfig(draft_len=args.K, temperature=args.T,
+                      max_new_tokens=args.max_new, seed=args.seed)
+    prompt = sys.stdin.read().rstrip("\r\n") if args.prompt == "-" else args.prompt
+    target = load_model(args.target)
+    drafter = load_model(args.drafter)
     tokens, stats = decode_speculative(target, drafter, encode(prompt, target.vocab), spec)
     print(decode_tokens(tokens, target.vocab))
     if args.stats:
@@ -237,9 +213,7 @@ def _bench_config(args, section: str, required: tuple[str, ...], keys: tuple[str
     for key in required:
         if key not in values:
             raise UsageError(f"config [{section}] must set {key}")
-    for key in values:
-        if key not in required and key not in keys:
-            raise FormatError(f"{args.config}: unknown key {key!r} in [{section}]")
+    _reject_unknown(args.config, section, values, required + keys)
     return config, values, {_EVAL_KEYS[k][0]: _EVAL_KEYS[k][1](values[k])
                             for k in keys if k in values}
 
@@ -276,18 +250,27 @@ def cmd_bench_scaling(args) -> int:
 
 
 def cmd_route(args) -> int:
-    cfg = _section(args)
-    registry_path = _resolve(args.registry, cfg, "registry", required=True)
-    text = _resolve(args.text, cfg, "text", required=True)
-    registry = load_registry(registry_path)
-    print(select_drafter(text, registry))
+    print(select_drafter(args.text, load_registry(args.registry)))
     return EXIT_OK
+
+
+def _takes_config(parser, handler, command_path: str, required: tuple[str, ...] = (),
+                  **defaults) -> None:
+    """Run handler for parser's command, with its value flags (not --config)
+    settable from the [command_path] config section. A default is shown in
+    the flag's help."""
+    value_flags = {a.dest: a for a in parser._actions
+                   if a.option_strings and a.nargs != 0 and a.dest != "config"}
+    for dest, value in defaults.items():
+        shown = ",".join(map(str, value)) if isinstance(value, tuple) else value
+        value_flags[dest].help += f" (default {shown})"
+    parser.set_defaults(handler=handler, command_path=command_path, value_flags=value_flags,
+                        required=required, flag_defaults=defaults)
 
 
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=0, help="base seed for all randomness")
-    common.add_argument("--config", help="config file supplying flag defaults")
+    common.add_argument("--config", help="config file supplying flag values")
 
     parser = argparse.ArgumentParser(
         prog="specdesk",
@@ -303,26 +286,26 @@ def build_parser() -> argparse.ArgumentParser:
     vb = vocab_sub.add_parser("build", parents=[common], help="build a vocabulary from corpora")
     vb.add_argument("--corpus", action="append", help="corpus TSV (repeatable)")
     vb.add_argument("--out", help="output vocabulary file")
-    vb.set_defaults(handler=cmd_vocab_build, command_path="vocab.build")
+    _takes_config(vb, cmd_vocab_build, "vocab.build", ("corpus", "out"))
 
     train = sub.add_parser("train", help="model training")
     train_sub = train.add_subparsers(dest="subcmd", required=True)
     tp = train_sub.add_parser("pretrain", parents=[common], help="train a model from scratch")
     tp.add_argument("--corpus", help="training corpus TSV")
-    tp.add_argument("--order", type=int, help="n-gram order, 1 to 64 (default 2)")
-    tp.add_argument("--k", type=float, help="add-k smoothing constant (default 0.5)")
+    tp.add_argument("--order", type=int, help="n-gram order, 1 to 64")
+    tp.add_argument("--k", type=float, help="add-k smoothing constant")
     tp.add_argument("--vocab", help="shared vocabulary file (default: build from corpus)")
     tp.add_argument("--out", help="output model file")
     tp.add_argument("--task-prompts", action="store_true",
                     help="wrap prompts in the translation instruction before training")
     tp.add_argument("--skip-empty", action="store_true",
                     help="drop records with empty completions instead of failing")
-    tp.set_defaults(handler=cmd_train_pretrain, command_path="train.pretrain")
+    _takes_config(tp, cmd_train_pretrain, "train.pretrain", ("corpus", "out"), order=2, k=0.5)
 
     tf = train_sub.add_parser("finetune", parents=[common], help="finetune an existing model")
     tf.add_argument("--model", help="input model file")
     tf.add_argument("--corpus", help="finetuning corpus TSV")
-    tf.add_argument("--weight", type=float, help="count weight (default 1.0)")
+    tf.add_argument("--weight", type=float, help="count weight")
     tf.add_argument("--max-tokens", type=int, dest="max_tokens",
                     help="truncate the corpus to this many tokens")
     tf.add_argument("--out", help="output model file")
@@ -330,30 +313,35 @@ def build_parser() -> argparse.ArgumentParser:
                     help="wrap prompts in the translation instruction before training")
     tf.add_argument("--skip-empty", action="store_true",
                     help="drop records with empty completions instead of failing")
-    tf.set_defaults(handler=cmd_train_finetune, command_path="train.finetune")
+    _takes_config(tf, cmd_train_finetune, "train.finetune", ("model", "corpus", "out"),
+                  weight=1.0)
 
     ds = sub.add_parser("distill", parents=[common],
                         help="generate a drafter training corpus from a target model")
     ds.add_argument("--target", help="target model file")
     ds.add_argument("--prompts", help="prompt corpus TSV (source texts)")
-    ds.add_argument("--temps", type=_floats, help="temperature schedule (default 0.0,0.3,0.7,1.0)")
-    ds.add_argument("--samples", type=int, help="samples per nonzero temperature (default 1)")
-    ds.add_argument("--max-len", type=int, dest="max_len", help="max completion length (default 64)")
+    ds.add_argument("--temps", type=_floats, help="temperature schedule")
+    ds.add_argument("--samples", type=int, help="samples per nonzero temperature")
+    ds.add_argument("--max-len", type=int, dest="max_len", help="max completion length")
     ds.add_argument("--wrapper", help="chat template with a {prompt} placeholder")
+    ds.add_argument("--seed", type=int, help="base seed for all randomness")
     ds.add_argument("--out", help="output corpus TSV")
     ds.add_argument("--skip-empty", action="store_true", help="drop empty generations")
-    ds.set_defaults(handler=cmd_distill, command_path="distill")
+    _takes_config(ds, cmd_distill, "distill", ("target", "prompts", "out"),
+                  temps=DEFAULT_TEMPERATURES, samples=1, max_len=64, seed=0)
 
     dc = sub.add_parser("decode", parents=[common], help="speculative decode a prompt")
     dc.add_argument("--target", help="target model file")
     dc.add_argument("--drafter", help="drafter model file")
     dc.add_argument("--prompt", help="prompt text, or '-' to read stdin")
-    dc.add_argument("--T", type=float, help="temperature (default 0.0)")
-    dc.add_argument("--K", type=int, help="draft length (default 5)")
-    dc.add_argument("--max-new", type=int, dest="max_new", help="max new tokens (default 128)")
+    dc.add_argument("--T", type=float, help="temperature")
+    dc.add_argument("--K", type=int, help="draft length")
+    dc.add_argument("--max-new", type=int, dest="max_new", help="max new tokens")
+    dc.add_argument("--seed", type=int, help="base seed for all randomness")
     dc.add_argument("--stats", action="store_true",
                     help="print decode statistics as one JSON line after the text")
-    dc.set_defaults(handler=cmd_decode, command_path="decode")
+    _takes_config(dc, cmd_decode, "decode", ("target", "drafter", "prompt"),
+                  T=0.0, K=5, max_new=128, seed=0)
 
     bench = sub.add_parser("bench", help="benchmark experiments")
     bench_sub = bench.add_subparsers(dest="subcmd", required=True)
@@ -361,25 +349,26 @@ def build_parser() -> argparse.ArgumentParser:
                               help="drafter x corpus evaluation grid from a config file")
     bg.add_argument("--out-dir", dest="out_dir", required=True, help="report output directory")
     bg.add_argument("--jobs", type=int, default=1, help="worker processes for grid cells")
-    bg.set_defaults(handler=cmd_bench_grid, command_path="bench.grid")
+    bg.set_defaults(handler=cmd_bench_grid)
 
     bs = bench_sub.add_parser("scaling", parents=[common],
                               help="finetune-token scaling curve from a config file")
     bs.add_argument("--out-dir", dest="out_dir", required=True, help="report output directory")
-    bs.set_defaults(handler=cmd_bench_scaling, command_path="bench.scaling")
+    bs.set_defaults(handler=cmd_bench_scaling)
 
     rt = sub.add_parser("route", parents=[common], help="select a drafter for a prompt")
     rt.add_argument("--registry", help="drafter registry file")
     rt.add_argument("--text", help="input text to classify")
-    rt.set_defaults(handler=cmd_route, command_path="route")
+    _takes_config(rt, cmd_route, "route", ("registry", "text"))
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
+        if "command_path" in args:  # bench commands read their own sections
+            _apply_config(args)
         return args.handler(args)
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)

@@ -123,10 +123,19 @@ class NGramModel:
             raise ValueError(f"order must be between 1 and {MAX_ORDER}, got {order}")
         if not 0.0 < k < math.inf:
             raise ValueError(f"smoothing k must be finite and > 0, got {k!r}")
+        counts = counts if counts is not None else {}
+        # Checked here once, so next_dist can index by id unchecked and
+        # save_model never writes a file load_model rejects.
+        if set(map(len, counts)) - {order - 1}:
+            raise ValueError(f"every count context must hold order - 1 = {order - 1} ids")
+        outside = set().union(*counts, *counts.values()).difference(range(vocab.size))
+        if outside:
+            raise ValueError(f"count ids outside the vocabulary [0, {vocab.size}): "
+                             f"{sorted(outside, key=repr)}")
         self.order = int(order)
         self.k = float(k)
         self.vocab = vocab
-        self.counts: dict[tuple[int, ...], dict[int, float]] = counts if counts is not None else {}
+        self.counts: dict[tuple[int, ...], dict[int, float]] = counts
         self.provenance = provenance
         self._totals: dict[tuple[int, ...], float] = {}
         self._refresh_totals(self.counts)

@@ -299,11 +299,8 @@ def verify_stochastic(d: Draft, target_dists: Sequence[Distribution], rng) -> Ve
     score, ctx, temperature = _row_scorer(d, target_dists)
     for j, token in enumerate(tokens):
         p = dists[j]
-        p_tok = p.probs.item(token)
-        if p_tok <= 0.0:
-            raise ValueError(f"draft token {j} has zero drafter probability")
         q = apply_temperature(score(ctx), temperature)
-        if rng.random() < q.probs.item(token) / p_tok:
+        if rng.random() < q.probs.item(token) / p.probs.item(token):
             ctx.append(token)
             continue
         try:

@@ -38,7 +38,7 @@ from specdesk import (
     verify_stochastic,
     with_task_prompts,
 )
-from specdesk.bench import _decode_corpus
+from specdesk.bench import _eval_seed
 from specdesk.core import ACCEPT_STREAM, make_rng
 
 import synth
@@ -207,10 +207,10 @@ def test_criterion_7_distillation_alignment(distill_setup):
     budget = min(distilled.token_count(), task_train.token_count())
     tuned_distilled = finetune(drafter_base, truncate_corpus(distilled, budget), 1.0)
     tuned_reference = finetune(drafter_base, truncate_corpus(task_train, budget), 1.0)
-    acc_d = mean_accepted(_decode_corpus(target, tuned_distilled, eval_corpus,
-                                         5, 0.0, 40, 0, 100))
-    acc_r = mean_accepted(_decode_corpus(target, tuned_reference, eval_corpus,
-                                         5, 0.0, 40, 0, 100))
+    cfg = EvalConfig(draft_len=5, temperature=0.0, max_new_tokens=40, seeds=(0,),
+                     max_prompts=100)
+    acc_d = _eval_seed(target, tuned_distilled, eval_corpus, cfg, 0)[0]
+    acc_r = _eval_seed(target, tuned_reference, eval_corpus, cfg, 0)[0]
     report(7, "self-distilled finetuning >= reference-completion finetuning (ties allowed)",
            acc_d >= acc_r,
            f"distilled {acc_d:.3f} vs reference {acc_r:.3f} on {budget} tokens each")

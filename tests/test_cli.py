@@ -8,7 +8,7 @@ import pytest
 
 import specdesk
 from specdesk import load_corpus, load_model, save_corpus, save_model, specdec
-from specdesk.cli import main
+from specdesk.cli import build_parser, main
 
 import synth
 
@@ -254,6 +254,118 @@ class TestExitCodes:
                        "--out", "multi.model", cwd=ws)
         assert proc.returncode == 4
         assert not (ws / "multi.model").exists()
+
+
+# Every value flag of every non-bench command, with two values that give
+# different outputs (the second may fail). A case runs with every flag at its
+# first value; the extra flags are booleans, which config does not set.
+CONFIG_CASES = {
+    ("vocab", "build"): ({"--corpus": (["de.tsv", "ru.tsv"], ["general.tsv"]),
+                          "--out": ("pair.out", "other.out")}, ()),
+    ("train", "pretrain"): ({"--corpus": ("de.tsv", "ru.tsv"), "--order": ("3", "2"),
+                             "--k": ("0.2", "0.9"), "--vocab": ("shared.vocab", "absent.vocab"),
+                             "--out": ("pair.out", "other.out")}, ("--task-prompts",)),
+    ("train", "finetune"): ({"--model": ("base.model", "target_de.model"),
+                             "--corpus": ("de.tsv", "ru.tsv"), "--weight": ("2.0", "1.0"),
+                             "--max-tokens": ("40", "80"), "--out": ("pair.out", "other.out")},
+                            ("--skip-empty",)),
+    ("distill",): ({"--target": ("target_de.model", "absent.model"),
+                    "--prompts": ("eval_de.tsv", "eval_ru.tsv"),
+                    "--temps": ("0.0,1.0", "0.0"), "--samples": ("2", "1"),
+                    "--max-len": ("6", "9"), "--wrapper": ("Q: {prompt}", "R: {prompt}"),
+                    "--seed": ("1", "2"), "--out": ("pair.out", "other.out")}, ()),
+    ("decode",): ({"--target": ("target_de.model", "absent.model"),
+                   "--drafter": ("drafter_de.model", "drafter_ru.model"),
+                   "--prompt": ("Translate German to English: haus",
+                                "Translate German to English: baum"),
+                   "--T": ("0.7", "0.3"), "--K": ("3", "4"), "--max-new": ("8", "12"),
+                   "--seed": ("1", "2")}, ("--stats",)),
+    ("route",): ({"--registry": ("pair_registry.cfg", "absent.cfg"),
+                  "--text": ("Привет мир", "Größe der Straße")}, ()),
+}
+BOOLEAN_KEYS = {("train", "pretrain"): ("task_prompts", "skip_empty"),
+                ("train", "finetune"): ("task_prompts", "skip_empty"),
+                ("distill",): ("skip_empty",), ("decode",): ("stats",)}
+
+
+def _argv(flags: dict) -> list[str]:
+    argv = []
+    for flag, value in flags.items():
+        for v in value if isinstance(value, list) else [value]:
+            argv += [flag, v]
+    return argv
+
+
+def _run_in(ws, capsys, command, flags, extra, config=None):
+    """Exit code, stdout, stderr and the bytes of pair.out and other.out (None
+    when absent) of one in-process run in ws, with config as its section's
+    keys. The output files are removed afterwards."""
+    argv = [*command, *_argv(flags), *extra]
+    if config is not None:
+        lines = [f"{key} = {','.join(v) if isinstance(v, list) else v}"
+                 for key, v in config.items()]
+        (ws / "pair.cfg").write_text("\n".join([f"[{'.'.join(command)}]", *lines, ""]),
+                                     encoding="utf-8")
+        argv += ["--config", "pair.cfg"]
+    code = main(argv)
+    files = []
+    for name in ("pair.out", "other.out"):
+        path = ws / name
+        files.append(path.read_bytes() if path.exists() else None)
+        path.unlink(missing_ok=True)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err, *files
+
+
+class TestConfigKeys:
+    @pytest.fixture(autouse=True)
+    def _in_ws(self, ws, monkeypatch):
+        (ws / "pair_registry.cfg").write_text(
+            "default = de-en\nde-en = drafter_de.model\nru-en = drafter_ru.model\n",
+            encoding="utf-8")
+        monkeypatch.chdir(ws)
+
+    def test_cases_cover_every_value_flag(self):
+        for command, (pairs, _) in CONFIG_CASES.items():
+            args = build_parser().parse_args(list(command))
+            assert set(args.value_flags) == {flag[2:].replace("-", "_") for flag in pairs}
+
+    @pytest.mark.parametrize("command,flag", [
+        (command, flag) for command, (pairs, _) in CONFIG_CASES.items() for flag in pairs],
+        ids=lambda v: " ".join(v) if isinstance(v, tuple) else v[2:])
+    def test_key_equals_flag_and_flag_wins(self, ws, capsys, command, flag):
+        pairs, extra = CONFIG_CASES[command]
+        key = flag[2:].replace("-", "_")
+        value, other = pairs[flag]
+        flags = {f: v[0] for f, v in pairs.items()}
+        rest = {f: v for f, v in flags.items() if f != flag}
+        by_flag = _run_in(ws, capsys, command, flags, extra)
+        assert by_flag[0] == 0
+        assert _run_in(ws, capsys, command, rest, extra, {key: value}) == by_flag
+        assert _run_in(ws, capsys, command, flags, extra, {key: other}) == by_flag
+        # The other value changes the outcome, so the check above can fail.
+        assert _run_in(ws, capsys, command, rest, extra, {key: other}) != by_flag
+
+    @pytest.mark.parametrize("command", CONFIG_CASES, ids=" ".join)
+    def test_unknown_key_is_4(self, ws, capsys, command):
+        pairs, extra = CONFIG_CASES[command]
+        flags = {f: v[0] for f, v in pairs.items()}
+        for key in ("temprature", "config", *BOOLEAN_KEYS.get(command, ())):
+            code, out, err, *files = _run_in(ws, capsys, command, flags, extra, {key: "1"})
+            assert code == 4
+            assert out == "" and files == [None, None]
+            assert err.startswith("error: format:")
+            assert f"unknown key {key!r} in [{'.'.join(command)}]" in err
+
+    @pytest.mark.parametrize("command", [("vocab", "build"), ("train", "pretrain"),
+                                         ("train", "finetune"), ("route",),
+                                         ("bench", "grid", "--out-dir", "seed_out"),
+                                         ("bench", "scaling", "--out-dir", "seed_out")],
+                             ids=lambda command: " ".join(command[:2]))
+    def test_seed_on_a_command_that_draws_nothing_is_2(self, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--seed", "1"])
+        assert exc.value.code == 2
 
 
 class TestDistillCommand:

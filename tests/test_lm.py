@@ -104,6 +104,13 @@ class TestPretrainCounting:
             with pytest.raises(ValueError):
                 NGramModel(2, k, build_vocab("ab"))
 
+    @pytest.mark.parametrize("counts", [
+        {(0,): {99: 1.0, -1: 2.0}}, {(0,): {-1: 2.0}}, {(5,): {0: 1.0}},
+        {(0, 0): {1: 1.0}}, {(): {1: 1.0}}])
+    def test_count_key_outside_the_vocabulary_or_order_rejected(self, counts):
+        with pytest.raises(ValueError):
+            NGramModel(2, 0.5, build_vocab("ab"), counts)
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
             pretrain(Corpus(()), order=2)
