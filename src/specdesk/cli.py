@@ -80,20 +80,21 @@ def _reject_unknown(config_path, section: str, values: dict, known) -> None:
 
 
 def _apply_config(args) -> None:
-    """Fill each value flag the user left unset from the command's config
-    section, parsed with the flag's own type (a repeatable flag takes a
-    comma-separated value), then from its default. A required flag still
-    unset exits 2; a key that names no value flag exits 4."""
+    """Set each value flag from its explicit value, else from the command's
+    config section (a repeatable flag's key takes a comma-separated value),
+    parsed with the flag's parser either way; else from its default. A value
+    the parser rejects exits 6, a required flag still unset exits 2, and a
+    key that names no value flag exits 4."""
     section = parse_config(args.config).get(args.command_path, {}) if args.config else {}
     _reject_unknown(args.config, args.command_path, section, args.value_flags)
     for dest, action in args.value_flags.items():
-        if getattr(args, dest) is not None:
-            continue  # an explicit flag wins
-        if dest in section:
-            parse = action.type or str
-            raw = section[dest]
+        raw = getattr(args, dest)  # an explicit flag wins
+        if raw is None and dest in section:
             repeated = isinstance(action, argparse._AppendAction)
-            setattr(args, dest, [parse(v) for v in raw.split(",")] if repeated else parse(raw))
+            raw = section[dest].split(",") if repeated else section[dest]
+        if raw is not None:
+            parse = args.parsers[dest]
+            setattr(args, dest, [parse(v) for v in raw] if isinstance(raw, list) else parse(raw))
         elif dest in args.required:
             raise UsageError(f"missing required option {action.option_strings[0]}")
         else:
@@ -101,10 +102,10 @@ def _apply_config(args) -> None:
 
 
 def _floats(raw: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in raw.split(",") if p != "")
+    return tuple(float(p) for p in raw.split(","))
 
 def _ints(raw: str) -> tuple[int, ...]:
-    return tuple(int(p) for p in raw.split(",") if p != "")
+    return tuple(int(p) for p in raw.split(","))
 
 
 def _note(message: str) -> None:
@@ -258,14 +259,18 @@ def _takes_config(parser, handler, command_path: str, required: tuple[str, ...] 
                   **defaults) -> None:
     """Run handler for parser's command, with its value flags (not --config)
     settable from the [command_path] config section. A default is shown in
-    the flag's help."""
+    the flag's help. argparse keeps each flag's raw string, so _apply_config
+    parses a flag and a key with the same parser."""
     value_flags = {a.dest: a for a in parser._actions
                    if a.option_strings and a.nargs != 0 and a.dest != "config"}
+    parsers = {dest: action.type or str for dest, action in value_flags.items()}
+    for action in value_flags.values():
+        action.type = None
     for dest, value in defaults.items():
         shown = ",".join(map(str, value)) if isinstance(value, tuple) else value
         value_flags[dest].help += f" (default {shown})"
     parser.set_defaults(handler=handler, command_path=command_path, value_flags=value_flags,
-                        required=required, flag_defaults=defaults)
+                        parsers=parsers, required=required, flag_defaults=defaults)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -98,7 +98,7 @@ class Vocabulary:
 
     tokens: tuple[str, ...]
     _index: dict = field(init=False, repr=False, compare=False)
-    # encode_array's lookup table: the sorted code points of the one-character
+    # encode_array's lookup table: the sorted code points of the non-reserved
     # tokens, then _NO_CODE_POINT, and each one's id (<unk> for the last).
     _code_table: tuple = field(init=False, repr=False, compare=False)
 
@@ -107,13 +107,16 @@ class Vocabulary:
         object.__setattr__(self, "tokens", tokens)
         if len(tokens) < 3 or tokens[:3] != RESERVED_TOKENS:
             raise ValueError("vocabulary must start with the reserved <bos>/<eos>/<unk> tokens")
+        for tok in tokens[3:]:
+            if len(tok) != 1:
+                raise ValueError(f"vocabulary token {tok!r} is not one character")
         index = {}
         for i, tok in enumerate(tokens):
             if tok in index:
                 raise ValueError(f"duplicate token {tok!r} in vocabulary")
             index[tok] = i
         object.__setattr__(self, "_index", index)
-        single = sorted((ord(tok), i) for i, tok in enumerate(tokens) if len(tok) == 1)
+        single = sorted((ord(tok), i) for i, tok in enumerate(tokens[3:], 3))
         single.append((_NO_CODE_POINT, UNK_ID))
         points, ids = (np.array(column, dtype="<u4") for column in zip(*single))
         object.__setattr__(self, "_code_table", (points, ids))
@@ -160,8 +163,8 @@ def encode(text: str, vocab: Vocabulary) -> TokenSequence:
 def encode_array(text: str, vocab: Vocabulary) -> np.ndarray:
     """``encode(text, vocab)`` as a uint32 array, computed in bulk.
 
-    Each scalar value, lone surrogates included, is one UTF-32 code unit. Only
-    one-character tokens can match one; anything else maps to <unk>.
+    Each scalar value, lone surrogates included, is one UTF-32 code unit. The
+    reserved tokens never match one; a value outside the vocabulary maps to <unk>.
     """
     codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
     points, ids = vocab._code_table
@@ -372,9 +375,6 @@ def parse_vocab_lines(lines: list[str]) -> Vocabulary:
     if tuple(lines[:3]) != RESERVED_TOKENS:
         raise FormatError("vocabulary block must start with the reserved header lines")
     tokens = tuple(_unescape_token(line) for line in lines[3:])
-    for token in tokens:
-        if len(token) != 1:
-            raise FormatError(f"vocabulary token {token!r} is not one character")
     try:
         return Vocabulary(RESERVED_TOKENS + tokens)
     except ValueError as exc:

@@ -1,52 +1,44 @@
 """Heuristic source-language routing: pick a drafter for an incoming prompt.
 
 Classification is a majority vote over Unicode scripts, with Latin text
-disambiguated by language-specific characters (umlauts and eszett for German,
-common accented letters for French) and, failing that, by a small profile of
-frequent function words. Pure function of the text and registry; no model is
-loaded to make the decision.
+disambiguated by the rules of `LATIN_LANGUAGES`: language-specific marker
+characters (umlauts and eszett for German, common accented letters for
+French) and, failing that, a small profile of frequent function words. Pure
+function of the text and registry; no model is loaded to make the decision.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 from .core import FormatError, read_sections
 
-_DE_MARKERS = set("äöüßÄÖÜ")
-_FR_MARKERS = set("éèçàÉÈÇÀ")
+# Each counted script's characters; any other code point counts for no script.
+_SCRIPTS = {
+    "latin": re.compile(r"[A-Za-z\u00C0-\u00D6\u00D8-\u00F6\u00F8-\u024F]"),
+    "cyrillic": re.compile(r"[\u0400-\u052F]"),
+    "kana": re.compile(r"[\u3040-\u30FF\u31F0-\u31FF]"),
+    "han": re.compile(r"[\u3400-\u4DBF\u4E00-\u9FFF]"),
+}
 
-_DE_WORDS = frozenset("der die das und ist nicht ein eine ich mit von auf für wird".split())
-_FR_WORDS = frozenset("le la les des une est et dans que pour je vous bonjour avec".split())
-_EN_WORDS = frozenset("the a an and is are of to in it this that with for".split())
-
-
-def _is_latin(ch: str) -> bool:
-    o = ord(ch)
-    return (0x41 <= o <= 0x5A or 0x61 <= o <= 0x7A
-            or 0xC0 <= o <= 0x24F and o not in (0xD7, 0xF7))
-
-
-def _is_cyrillic(ch: str) -> bool:
-    return 0x0400 <= ord(ch) <= 0x052F
-
-
-def _is_kana(ch: str) -> bool:
-    o = ord(ch)
-    return 0x3040 <= o <= 0x30FF or 0x31F0 <= o <= 0x31FF
-
-
-def _is_han(ch: str) -> bool:
-    o = ord(ch)
-    return 0x4E00 <= o <= 0x9FFF or 0x3400 <= o <= 0x4DBF
+# Latin-script languages in tie order: tag -> (marker characters, function
+# words). A registry's marker hints may name these tags only.
+LATIN_LANGUAGES = {
+    "de": (frozenset("äöüßÄÖÜ"),
+           frozenset("der die das und ist nicht ein eine ich mit von auf für wird".split())),
+    "fr": (frozenset("éèçàÉÈÇÀ"),
+           frozenset("le la les des une est et dans que pour je vous bonjour avec".split())),
+    "en": (frozenset(), frozenset("the a an and is are of to in it this that with for".split())),
+}
 
 
 @dataclass
 class DrafterRegistry:
     """Language-pair tags mapped to drafter model paths, plus an optional
-    default tag and extra per-language marker characters."""
+    default tag and extra marker characters per `LATIN_LANGUAGES` tag."""
 
     entries: dict
     default_tag: Optional[str] = None
@@ -55,6 +47,10 @@ class DrafterRegistry:
     def __post_init__(self):
         if self.default_tag is not None and self.default_tag not in self.entries:
             raise ValueError(f"default tag {self.default_tag!r} is not a registry entry")
+        for lang in self.marker_hints:
+            if lang not in LATIN_LANGUAGES:
+                raise ValueError(f"marker hint language {lang!r} is not one of "
+                                 f"{', '.join(LATIN_LANGUAGES)}")
 
 
 def load_registry(path) -> DrafterRegistry:
@@ -83,52 +79,40 @@ def load_registry(path) -> DrafterRegistry:
     return DrafterRegistry(entries, default_tag, hints)
 
 
+def _vote(scores: dict) -> Optional[str]:
+    """The first language in table order with the top score, or None when
+    every score is 0."""
+    best = max(scores, key=scores.get)
+    return best if scores[best] else None
+
+
 def detect_source_language(text: str, marker_hints: Optional[dict] = None) -> Optional[str]:
     """Best-guess source language tag for the text, or None when no rule fires.
 
     Script majority decides first (kana or han dominance means Japanese or
     Chinese, with any kana at all favoring Japanese; Cyrillic means Russian).
-    Latin-dominant text is split de/fr by marker characters, then by function
-    words, defaulting to English.
+    Latin-dominant text goes to the `LATIN_LANGUAGES` tag with the most marker
+    characters, then to the one with the most function words, defaulting to
+    English.
     """
-    hints = marker_hints or {}
-    latin = cyrillic = kana = han = 0
-    for ch in text:
-        if _is_latin(ch):
-            latin += 1
-        elif _is_cyrillic(ch):
-            cyrillic += 1
-        elif _is_kana(ch):
-            kana += 1
-        elif _is_han(ch):
-            han += 1
-    cjk = kana + han
+    counts = {script: len(chars.findall(text)) for script, chars in _SCRIPTS.items()}
+    latin, cyrillic, cjk = counts["latin"], counts["cyrillic"], counts["kana"] + counts["han"]
     if latin == cyrillic == cjk == 0:
         return None
     top = max(latin, cyrillic, cjk)
     if cjk == top:
-        return "ja" if kana > 0 else "zh"
+        return "ja" if counts["kana"] > 0 else "zh"
     if cyrillic == top:
         return "ru"
 
-    de_markers = _DE_MARKERS | set(hints.get("de", ""))
-    fr_markers = _FR_MARKERS | set(hints.get("fr", ""))
-    de_score = sum(1 for ch in text if ch in de_markers)
-    fr_score = sum(1 for ch in text if ch in fr_markers)
-    if de_score or fr_score:
-        return "de" if de_score >= fr_score else "fr"
+    hints = marker_hints or {}
+    marked = _vote({lang: sum(map(text.count, markers.union(hints.get(lang, ""))))
+                    for lang, (markers, _) in LATIN_LANGUAGES.items()})
+    if marked is not None:
+        return marked
     words = {w.strip(".,;:!?\"'()") for w in text.lower().split()}
-    votes = {
-        "de": len(words & _DE_WORDS),
-        "fr": len(words & _FR_WORDS),
-        "en": len(words & _EN_WORDS),
-    }
-    best = max(votes.values())
-    if best > 0:
-        for lang in ("de", "fr", "en"):
-            if votes[lang] == best:
-                return lang
-    return "en"
+    return _vote({lang: len(words & function_words)
+                  for lang, (_, function_words) in LATIN_LANGUAGES.items()}) or "en"
 
 
 def select_drafter(text: str, registry: DrafterRegistry) -> str:

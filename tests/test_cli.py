@@ -283,6 +283,14 @@ CONFIG_CASES = {
     ("route",): ({"--registry": ("pair_registry.cfg", "absent.cfg"),
                   "--text": ("Привет мир", "Größe der Straße")}, ()),
 }
+# A value each flag's parser rejects, for a flag of each parser.
+INVALID_VALUES = [
+    (("train", "pretrain"), "--order", "three"), (("train", "pretrain"), "--k", "0.2x"),
+    (("train", "finetune"), "--weight", "heavy"), (("train", "finetune"), "--max-tokens", "4.0"),
+    (("distill",), "--temps", "0.7,,"), (("distill",), "--temps", ",0.7"),
+    (("distill",), "--samples", "2.5"), (("distill",), "--seed", "x"),
+    (("decode",), "--K", "abc"), (("decode",), "--T", "warm"), (("decode",), "--max-new", ""),
+]
 BOOLEAN_KEYS = {("train", "pretrain"): ("task_prompts", "skip_empty"),
                 ("train", "finetune"): ("task_prompts", "skip_empty"),
                 ("distill",): ("skip_empty",), ("decode",): ("stats",)}
@@ -345,6 +353,19 @@ class TestConfigKeys:
         assert _run_in(ws, capsys, command, flags, extra, {key: other}) == by_flag
         # The other value changes the outcome, so the check above can fail.
         assert _run_in(ws, capsys, command, rest, extra, {key: other}) != by_flag
+
+    @pytest.mark.parametrize("command,flag,bad", INVALID_VALUES,
+                             ids=lambda v: " ".join(v) if isinstance(v, tuple) else repr(v))
+    def test_invalid_value_is_6_as_flag_and_as_key(self, ws, capsys, command, flag, bad):
+        pairs, extra = CONFIG_CASES[command]
+        flags = {f: v[0] for f, v in pairs.items()}
+        by_flag = _run_in(ws, capsys, command, {**flags, flag: bad}, extra)
+        code, out, err, *files = by_flag
+        assert code == 6 and out == "" and files == [None, None]
+        assert err.startswith("error: invalid:")
+        rest = {f: v for f, v in flags.items() if f != flag}
+        by_key = _run_in(ws, capsys, command, rest, extra, {flag[2:].replace("-", "_"): bad})
+        assert by_key == by_flag
 
     @pytest.mark.parametrize("command", CONFIG_CASES, ids=" ".join)
     def test_unknown_key_is_4(self, ws, capsys, command):
@@ -529,6 +550,16 @@ class TestRouteCommand:
             proc = run_cli("route", "--registry", "registry.cfg", "--text", text, cwd=ws)
             assert proc.returncode == 0, proc.stderr
             assert proc.stdout.strip() == expected
+
+    def test_hint_for_a_language_outside_the_table_is_6(self, ws):
+        (ws / "typo_registry.cfg").write_text(
+            "hint.fe = ô\nde-en = drafter_de.model\nfr-en = drafter_de.model\n",
+            encoding="utf-8")
+        proc = run_cli("route", "--registry", "typo_registry.cfg", "--text", "rôle", cwd=ws)
+        assert proc.returncode == 6
+        assert proc.stdout == ""
+        assert proc.stderr == ("error: invalid: marker hint language 'fe' is not one of "
+                               "de, fr, en\n")
 
     def test_route_missing_registry_is_3(self, ws):
         assert run_cli("route", "--registry", "nope.cfg", "--text", "x", cwd=ws).returncode == 3

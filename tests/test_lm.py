@@ -28,9 +28,11 @@ from specdesk import (
     generate,
     load_corpus,
     load_model,
+    load_vocab,
     pretrain,
     save_corpus,
     save_model,
+    save_vocab,
     truncate_corpus,
 )
 from specdesk import cli, lm
@@ -307,7 +309,7 @@ class TestBulkCounting:
 
     @settings(max_examples=100)
     @given(order=st.integers(1, 6),
-           known=st.sampled_from(["abc<bos>", "ab" + chr(0x1F600), "", "multi"]),
+           known=st.sampled_from(["abc<bos>", "ab" + chr(0x1F600), ""]),
            records=st.lists(bulk_record, min_size=1, max_size=8),
            tunes=st.lists(st.tuples(st.lists(bulk_record, max_size=6),
                                     st.sampled_from([1.0, 0.5, 0.3, 2.7, 1e-9])),
@@ -316,10 +318,7 @@ class TestBulkCounting:
            chunk=st.sampled_from([lm._CHUNK_CHARS, 1, 5]))
     def test_equals_token_by_token_reference(self, order, known, records, tunes, repeat,
                                              chunk):
-        if known == "multi":
-            vocab = Vocabulary(RESERVED_TOKENS + ("ab", "a", "<bos>x", "c", chr(0x1F600)))
-        else:
-            vocab = build_vocab(known)
+        vocab = build_vocab(known)
         corpus = Corpus(tuple(records) * repeat)
         for prompt, completion in corpus.records:
             text = prompt + completion
@@ -437,6 +436,23 @@ class TestModelPersistence:
         for _ in range(100):
             ctx = [int(x) for x in rng.integers(0, m.vocab.size, size=rng.integers(0, 4))]
             assert np.array_equal(loaded.next_dist(ctx).probs, m.next_dist(ctx).probs)
+
+    @settings(max_examples=60)
+    @given(st.lists(st.text(alphabet="ab\n\\<", max_size=2), max_size=4))
+    def test_every_vocabulary_that_constructs_round_trips(self, tokens):
+        # So save_vocab and save_model never write a file that load_vocab and
+        # load_model reject.
+        if not all(len(t) == 1 for t in tokens) or len(set(tokens)) < len(tokens):
+            with pytest.raises(ValueError):
+                Vocabulary(RESERVED_TOKENS + tuple(tokens))
+            return
+        vocab = Vocabulary(RESERVED_TOKENS + tuple(tokens))
+        model = pretrain(Corpus((("a", "b\n"),)), order=2, k=0.5, vocab=vocab)
+        with tempfile.TemporaryDirectory() as tmp:
+            save_vocab(vocab, Path(tmp) / "v.vocab")
+            save_model(model, Path(tmp) / "m.model")
+            assert load_vocab(Path(tmp) / "v.vocab") == vocab
+            assert load_model(Path(tmp) / "m.model") == model
 
     def test_serialization_is_bit_identical(self, tmp_path):
         corpus = Corpus((("", "abab"), ("b", "aa")))

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specdesk import (
     DrafterRegistry,
@@ -7,10 +8,96 @@ from specdesk import (
     load_registry,
     select_drafter,
 )
+from specdesk.routing import LATIN_LANGUAGES
 
 
 def registry(tags=("de-en", "fr-en", "ru-en"), default=None, hints=None):
     return DrafterRegistry({t: f"/tmp/{t}.model" for t in tags}, default, hints or {})
+
+
+# The detector as it was before the script and language tables: per-character
+# range tests and hand-written de/fr/en rules. The table-driven one must
+# decide every input as this one does.
+_REF_DE_MARKERS = set("äöüßÄÖÜ")
+_REF_FR_MARKERS = set("éèçàÉÈÇÀ")
+_REF_DE_WORDS = frozenset("der die das und ist nicht ein eine ich mit von auf für wird".split())
+_REF_FR_WORDS = frozenset("le la les des une est et dans que pour je vous bonjour avec".split())
+_REF_EN_WORDS = frozenset("the a an and is are of to in it this that with for".split())
+
+
+def _ref_is_latin(ch):
+    o = ord(ch)
+    return (0x41 <= o <= 0x5A or 0x61 <= o <= 0x7A
+            or 0xC0 <= o <= 0x24F and o not in (0xD7, 0xF7))
+
+
+def _ref_is_cyrillic(ch):
+    return 0x0400 <= ord(ch) <= 0x052F
+
+
+def _ref_is_kana(ch):
+    o = ord(ch)
+    return 0x3040 <= o <= 0x30FF or 0x31F0 <= o <= 0x31FF
+
+
+def _ref_is_han(ch):
+    o = ord(ch)
+    return 0x4E00 <= o <= 0x9FFF or 0x3400 <= o <= 0x4DBF
+
+
+def reference_detect(text, marker_hints=None):
+    hints = marker_hints or {}
+    latin = cyrillic = kana = han = 0
+    for ch in text:
+        if _ref_is_latin(ch):
+            latin += 1
+        elif _ref_is_cyrillic(ch):
+            cyrillic += 1
+        elif _ref_is_kana(ch):
+            kana += 1
+        elif _ref_is_han(ch):
+            han += 1
+    cjk = kana + han
+    if latin == cyrillic == cjk == 0:
+        return None
+    top = max(latin, cyrillic, cjk)
+    if cjk == top:
+        return "ja" if kana > 0 else "zh"
+    if cyrillic == top:
+        return "ru"
+    de_markers = _REF_DE_MARKERS | set(hints.get("de", ""))
+    fr_markers = _REF_FR_MARKERS | set(hints.get("fr", ""))
+    de_score = sum(1 for ch in text if ch in de_markers)
+    fr_score = sum(1 for ch in text if ch in fr_markers)
+    if de_score or fr_score:
+        return "de" if de_score >= fr_score else "fr"
+    words = {w.strip(".,;:!?\"'()") for w in text.lower().split()}
+    votes = {"de": len(words & _REF_DE_WORDS), "fr": len(words & _REF_FR_WORDS),
+             "en": len(words & _REF_EN_WORDS)}
+    best = max(votes.values())
+    if best > 0:
+        for lang in ("de", "fr", "en"):
+            if votes[lang] == best:
+                return lang
+    return "en"
+
+
+# The ends of each script range the reference tests, and the two code points
+# inside a Latin range that it excludes.
+RANGE_ENDS = (0x41, 0x5A, 0x61, 0x7A, 0xC0, 0xD7, 0xF7, 0x24F, 0x400, 0x52F, 0x3040, 0x30FF,
+              0x31F0, 0x31FF, 0x3400, 0x4DBF, 0x4E00, 0x9FFF)
+
+# Pieces of mixed text: each range end and its neighbours, markers, letters of
+# every counted script, function words and punctuation the word rule strips.
+MIX_CHARS = [chr(o + d) for o in RANGE_ENDS for d in (-1, 0, 1)]
+MIX_CHARS += ["a", "ß", "ä", "Ü", "é", "Ç", "à", "ô", "ẞ", "ж", "Я", "ぁ", "カ", "日", " ", "  ",
+              ".", "!", "\"", "(", "1"]
+MIX_WORDS = [f" {w} " for _, words in LATIN_LANGUAGES.values() for w in sorted(words)]
+MIX_WORDS += [" Der ", " LE ", " the. ", " (und) ", " Привет ", "мир", "こんにちは", "世界"]
+mixes = st.lists(st.sampled_from(MIX_CHARS) | st.sampled_from(MIX_WORDS),
+                 max_size=14).map("".join)
+hint_sets = st.none() | st.dictionaries(st.sampled_from(["de", "fr"]),
+                                        st.text(alphabet="äéôaжẞ日 ", max_size=3))
 
 
 class TestDetection:
@@ -48,6 +135,42 @@ class TestDetection:
 
     def test_marker_hints_extend_rules(self):
         assert detect_source_language("côté", {"fr": "ôê"}) == "fr"
+
+
+class TestReferenceDetector:
+    def test_every_code_point_alone(self):
+        for o in [*range(0x10000), 0x10000, 0x1F600, 0x10FFFF]:
+            assert detect_source_language(chr(o)) == reference_detect(chr(o)), hex(o)
+
+    @settings(max_examples=600)
+    @given(mixes, hint_sets)
+    def test_mixed_text(self, text, hints):
+        assert detect_source_language(text, hints) == reference_detect(text, hints)
+
+
+class TestMarkerHints:
+    def test_en_hint_takes_effect(self):
+        assert detect_source_language("le rôle") == "fr"
+        assert detect_source_language("le rôle", {"en": "ô"}) == "en"
+        reg = registry(("fr-en", "en-de"), hints={"en": "ô"})
+        assert select_drafter("le rôle", reg) == "en-de"
+
+    def test_marker_tie_goes_to_the_first_language_in_table_order(self):
+        assert list(LATIN_LANGUAGES) == ["de", "fr", "en"]
+        assert detect_source_language("äé") == "de"
+        assert detect_source_language("éô", {"en": "ô"}) == "fr"
+
+    @pytest.mark.parametrize("lang", ["ru", "fe", "", "DE"])
+    def test_hint_for_a_language_outside_the_table_rejected(self, lang):
+        with pytest.raises(ValueError, match=f"marker hint language {lang!r}"):
+            registry(hints={lang: "ô"})
+
+    def test_registry_file_hint_outside_the_table_rejected(self, tmp_path):
+        (tmp_path / "fr.model").write_text("x", encoding="utf-8")
+        reg_file = tmp_path / "registry.cfg"
+        reg_file.write_text("hint.fe = ô\nfr-en = fr.model\n", encoding="utf-8")
+        with pytest.raises(ValueError, match="'fe'"):
+            load_registry(reg_file)
 
 
 class TestSelectDrafter:
