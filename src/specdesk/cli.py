@@ -83,8 +83,9 @@ def _apply_config(args) -> None:
     """Set each value flag from its explicit value, else from the command's
     config section (a repeatable flag's key takes a comma-separated value),
     parsed with the flag's parser either way; else from its default. A value
-    the parser rejects exits 6, a required flag still unset exits 2, and a
-    key that names no value flag exits 4."""
+    the parser rejects exits 6 with a message naming the flag and its key, a
+    required flag still unset exits 2, and a key that names no value flag
+    exits 4."""
     section = parse_config(args.config).get(args.command_path, {}) if args.config else {}
     _reject_unknown(args.config, args.command_path, section, args.value_flags)
     for dest, action in args.value_flags.items():
@@ -93,12 +94,22 @@ def _apply_config(args) -> None:
             repeated = isinstance(action, argparse._AppendAction)
             raw = section[dest].split(",") if repeated else section[dest]
         if raw is not None:
-            parse = args.parsers[dest]
+            parse = _naming(f"{action.option_strings[0]} (config key {dest})", args.parsers[dest])
             setattr(args, dest, [parse(v) for v in raw] if isinstance(raw, list) else parse(raw))
         elif dest in args.required:
             raise UsageError(f"missing required option {action.option_strings[0]}")
         else:
             setattr(args, dest, args.flag_defaults.get(dest))
+
+
+def _naming(name: str, parse):
+    """parse, with a ValueError it raises prefixed by the name of the input."""
+    def parse_named(raw):
+        try:
+            return parse(raw)
+        except ValueError as exc:
+            raise ValueError(f"{name}: {exc}") from None
+    return parse_named
 
 
 def _floats(raw: str) -> tuple[float, ...]:
@@ -215,8 +226,12 @@ def _bench_config(args, section: str, required: tuple[str, ...], keys: tuple[str
         if key not in values:
             raise UsageError(f"config [{section}] must set {key}")
     _reject_unknown(args.config, section, values, required + keys)
-    return config, values, {_EVAL_KEYS[k][0]: _EVAL_KEYS[k][1](values[k])
-                            for k in keys if k in values}
+    kwargs = {}
+    for key in keys:
+        if key in values:
+            name, parse = _EVAL_KEYS[key]
+            kwargs[name] = _naming(f"[{section}] {key}", parse)(values[key])
+    return config, values, kwargs
 
 
 def cmd_bench_grid(args) -> int:

@@ -27,7 +27,7 @@ RESERVED_TOKENS = ("<bos>", "<eos>", "<unk>")
 # Named RNG substreams (spawn keys for make_rng / derive_seed). Streams derived
 # from the same seed are statistically independent; draws within one stream are
 # consumed one at a time, in the order documented by the consuming function.
-DRAFT_STREAM = 0      # drafter sampling inside the speculative decode loop
+DRAFT_STREAM = 0      # drafter sampling inside the speculative decode loop (T>0)
 ACCEPT_STREAM = 1     # accept/reject draws, then the residual or bonus sample
 GENERATE_STREAM = 2   # plain autoregressive generation
 DISTILL_STREAM = 3    # per-record seeds for distillation jobs

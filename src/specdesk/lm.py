@@ -366,12 +366,13 @@ class _Texts(dict):
         return text
 
 
-def _add_count_group(group: list[str], order: int, vocab_size: int, counts: dict,
+def _add_count_group(group: list[str], order: int, counts: dict,
                      shared: dict, ids: dict, previous: tuple) -> Optional[tuple]:
     """Check a group of count lines with array comparisons and add them to
     counts; returns the last key, or None, with counts untouched, when any
-    line fails a check. previous is the key before the group's first line.
-    shared and ids map each count and id spelling seen so far to its value."""
+    line fails a check. Id ranges are left to NGramModel. previous is the
+    key before the group's first line. shared and ids map each count and id
+    spelling seen so far to its value."""
     if set(map(str.count, group, repeat(" "))) != {order}:
         return None
     width = order + 1
@@ -383,11 +384,14 @@ def _add_count_group(group: list[str], order: int, vocab_size: int, counts: dict
         new_counts = {raw: float(raw) for raw in set(spellings).difference(shared)}
     except ValueError:
         return None
-    if not (all(0 <= i < vocab_size for i in new_ids.values())
-            and all(0.0 <= count < math.inf for count in new_counts.values())):
+    if not all(0.0 <= count < math.inf for count in new_counts.values()):
         return None
     ids.update(new_ids)
-    keys = np.fromiter(map(ids.__getitem__, fields), np.int64, len(fields)).reshape(-1, order)
+    try:
+        keys = np.fromiter(map(ids.__getitem__, fields), np.int64, len(fields))
+    except OverflowError:  # an id past int64, so out of any vocabulary's range
+        return None
+    keys = keys.reshape(-1, order)
     rows = np.concatenate((np.array(previous, np.int64).reshape(-1, order), keys))
     later, earlier = rows[1:], rows[:-1]
     step = later != earlier
@@ -412,12 +416,14 @@ def _add_count_group(group: list[str], order: int, vocab_size: int, counts: dict
     return tuple(keys[-1].tolist())
 
 
-def _add_count_lines(lines: list[str], lo: int, hi: int, order: int, vocab_size: int,
-                     counts: dict, shared: dict, previous: tuple) -> tuple:
-    """Check and add lines[lo:hi] one line at a time. A group that fails a
-    check is read again this way, so that the error names its first bad
-    line. Returns the last key."""
-    for ln in range(lo, hi):
+def _count_lines(lines: list[str], start: int, order: int, vocab_size: int) -> dict:
+    """The counts of lines[start:], checked one line at a time. A file that
+    fails a check is read again this way, so that the error names its first
+    bad line."""
+    counts: dict[tuple[int, ...], dict[int, float]] = {}
+    shared: dict[str, float] = {}
+    previous: tuple[int, ...] = ()
+    for ln in range(start, len(lines)):
         parts = lines[ln].split(" ")
         if len(parts) != order + 1:
             raise ModelFormatError(f"line {ln + 1}: expected {order + 1} fields")
@@ -436,7 +442,7 @@ def _add_count_lines(lines: list[str], lo: int, hi: int, order: int, vocab_size:
             raise ModelFormatError(f"line {ln + 1}: count lines must be strictly increasing")
         previous = key
         counts.setdefault(key[:-1], {})[key[-1]] = shared.setdefault(parts[-1], count)
-    return previous
+    return counts
 
 
 def _parse_model(lines: list[str]) -> NGramModel:
@@ -463,13 +469,20 @@ def _parse_model(lines: list[str]) -> NGramModel:
     # alike share one float object.
     shared: dict[str, float] = {}
     ids: dict[str, int] = {}
-    previous: tuple[int, ...] = ()
+    previous: Optional[tuple[int, ...]] = ()
     for lo in range(counts_start, len(lines), _GROUP_LINES):
-        hi = min(lo + _GROUP_LINES, len(lines))
-        last = _add_count_group(lines[lo:hi], order, vocab_size, counts, shared, ids, previous)
-        if last is None:
-            last = _add_count_lines(lines, lo, hi, order, vocab_size, counts, shared, previous)
-        previous = last
+        previous = _add_count_group(lines[lo:lo + _GROUP_LINES], order, counts, shared, ids,
+                                    previous)
+        if previous is None:
+            break
+    else:
+        try:
+            return NGramModel(order, k, vocab, counts, provenance)
+        except ValueError:
+            pass  # NGramModel checks the id ranges; the line is found below
+    # Read the count lines again one at a time, so that the error names the
+    # first bad line; an error NGramModel alone finds is raised again.
+    counts = _count_lines(lines, counts_start, order, vocab_size)
     return NGramModel(order, k, vocab, counts, provenance)
 
 

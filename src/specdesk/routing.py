@@ -47,10 +47,14 @@ class DrafterRegistry:
     def __post_init__(self):
         if self.default_tag is not None and self.default_tag not in self.entries:
             raise ValueError(f"default tag {self.default_tag!r} is not a registry entry")
-        for lang in self.marker_hints:
-            if lang not in LATIN_LANGUAGES:
-                raise ValueError(f"marker hint language {lang!r} is not one of "
-                                 f"{', '.join(LATIN_LANGUAGES)}")
+        _check_hints(self.marker_hints)
+
+
+def _check_hints(marker_hints: dict) -> None:
+    for lang in marker_hints:
+        if lang not in LATIN_LANGUAGES:
+            raise ValueError(f"marker hint language {lang!r} is not one of "
+                             f"{', '.join(LATIN_LANGUAGES)}")
 
 
 def load_registry(path) -> DrafterRegistry:
@@ -93,8 +97,11 @@ def detect_source_language(text: str, marker_hints: Optional[dict] = None) -> Op
     Chinese, with any kana at all favoring Japanese; Cyrillic means Russian).
     Latin-dominant text goes to the `LATIN_LANGUAGES` tag with the most marker
     characters, then to the one with the most function words, defaulting to
-    English.
+    English. A marker hint for a tag outside `LATIN_LANGUAGES` raises
+    ValueError.
     """
+    hints = marker_hints or {}
+    _check_hints(hints)
     counts = {script: len(chars.findall(text)) for script, chars in _SCRIPTS.items()}
     latin, cyrillic, cjk = counts["latin"], counts["cyrillic"], counts["kana"] + counts["han"]
     if latin == cyrillic == cjk == 0:
@@ -105,7 +112,6 @@ def detect_source_language(text: str, marker_hints: Optional[dict] = None) -> Op
     if cyrillic == top:
         return "ru"
 
-    hints = marker_hints or {}
     marked = _vote({lang: sum(map(text.count, markers.union(hints.get(lang, ""))))
                     for lang, (markers, _) in LATIN_LANGUAGES.items()})
     if marked is not None:

@@ -177,7 +177,9 @@ def draft(drafter: NGramModel, context: Sequence[int], draft_len: int,
           temperature: float, rng) -> Draft:
     """Sample up to draft_len tokens autoregressively from the drafter at the
     given temperature, recording each post-temperature distribution. Drafting
-    stops early once <eos> is drafted (the <eos> token is kept in the draft)."""
+    stops early once <eos> is drafted (the <eos> token is kept in the draft).
+    At T=0 each token is the argmax of its one-hot, the value any draw from
+    it would give, so greedy drafting reads nothing from rng (it may be None)."""
     if draft_len < 1:
         raise ValueError("draft_len must be >= 1")
     # next_dist reads at most the last order - 1 ids of a context (fewer are
@@ -186,11 +188,12 @@ def draft(drafter: NGramModel, context: Sequence[int], draft_len: int,
     ctx = list(context[-n1:]) if n1 else []
     start = len(ctx)
     next_dist = drafter.next_dist
+    greedy = temperature == 0.0
     dists = []
     for _ in range(draft_len):
         dist = apply_temperature(next_dist(ctx), temperature)
         dists.append(dist)
-        token = sample(dist, rng)
+        token = argmax(dist) if greedy else sample(dist, rng)
         ctx.append(token)
         if token == EOS_ID:
             break
@@ -331,16 +334,17 @@ def decode_speculative(target: NGramModel, drafter: NGramModel,
     <eos> is emitted or max_new_tokens continuation tokens are produced.
 
     Tokens a final cycle produces beyond max_new_tokens (or after an accepted
-    <eos>) are dropped and tallied as truncated. Drafting consumes the draft
-    substream and verification the acceptance substream of cfg.seed, so runs
-    are reproducible per seed. The returned continuation excludes <eos>.
+    <eos>) are dropped and tallied as truncated. At T>0 drafting consumes the
+    draft substream and verification the acceptance substream of cfg.seed, so
+    runs are reproducible per seed; at T=0 neither draws. The returned
+    continuation excludes <eos>.
     """
     if target.vocab != drafter.vocab:
         raise VocabularyMismatchError("target and drafter must share one vocabulary")
-    draft_rng = _Uniforms(make_rng(cfg.seed, DRAFT_STREAM))
-    # Greedy verification draws nothing, so T=0 builds no acceptance stream.
+    # Greedy drafting and verification draw nothing, so T=0 builds no stream.
     temperature = cfg.temperature
     greedy = temperature == 0.0
+    draft_rng = None if greedy else _Uniforms(make_rng(cfg.seed, DRAFT_STREAM))
     accept_rng = None if greedy else _Uniforms(make_rng(cfg.seed, ACCEPT_STREAM))
     draft_len = cfg.draft_len
     # The continuation is context[start:]; decoding stops once it reaches limit.

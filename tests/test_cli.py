@@ -367,6 +367,20 @@ class TestConfigKeys:
         by_key = _run_in(ws, capsys, command, rest, extra, {flag[2:].replace("-", "_"): bad})
         assert by_key == by_flag
 
+    BAD_K = "error: invalid: --K (config key K): invalid literal for int() with base 10: 'abc'\n"
+
+    def test_invalid_flag_value_names_its_flag(self, ws, capsys):
+        pairs, extra = CONFIG_CASES[("decode",)]
+        flags = {f: v[0] for f, v in pairs.items()}
+        code, out, err, *_ = _run_in(ws, capsys, ("decode",), {**flags, "--K": "abc"}, extra)
+        assert (code, out, err) == (6, "", self.BAD_K)
+
+    def test_invalid_key_value_names_its_key(self, ws, capsys):
+        pairs, extra = CONFIG_CASES[("decode",)]
+        rest = {f: v[0] for f, v in pairs.items() if f != "--K"}
+        code, out, err, *_ = _run_in(ws, capsys, ("decode",), rest, extra, {"K": "abc"})
+        assert (code, out, err) == (6, "", self.BAD_K)
+
     @pytest.mark.parametrize("command", CONFIG_CASES, ids=" ".join)
     def test_unknown_key_is_4(self, ws, capsys, command):
         pairs, extra = CONFIG_CASES[command]
@@ -462,6 +476,14 @@ class TestBenchCommands:
         assert proc.returncode == 6, proc.stderr
         assert "max_prompts" in proc.stderr
         assert not (ws / "out0").exists()
+
+    def test_grid_invalid_key_value_names_its_key(self, ws):
+        text = self._grid_config(ws).read_text(encoding="utf-8")
+        (ws / "grid_kx.cfg").write_text(text.replace("K = 3", "K = abc"), encoding="utf-8")
+        proc = run_cli("bench", "grid", "--config", "grid_kx.cfg", "--out-dir", "outKx", cwd=ws)
+        assert proc.returncode == 6, proc.stderr
+        assert proc.stderr == ("error: invalid: [grid] K: "
+                               "invalid literal for int() with base 10: 'abc'\n")
 
     def test_grid_draft_len_zero_is_6(self, ws):
         text = self._grid_config(ws).read_text(encoding="utf-8")

@@ -511,6 +511,29 @@ class TestModelPersistence:
         with pytest.raises(ModelFormatError):
             load_model(path)
 
+    @pytest.mark.parametrize("bad_id", ["45", "-1", "9" * 30])
+    def test_out_of_range_id_on_a_late_line_names_the_line(self, tmp_path, bad_id):
+        # More count lines than one group, so only NGramModel sees the bad
+        # id, and the loader has to find its line.
+        vocab = build_vocab("".join(map(chr, range(0x400, 0x42A))))
+        ids = range(len(RESERVED_TOKENS), vocab.size)
+        path = tmp_path / "m.model"
+        save_model(NGramModel(2, 0.5, vocab, {(i,): dict.fromkeys(ids, 1.0) for i in ids}),
+                   path)
+        lines = path.read_text(encoding="utf-8").split("\n")[:-1]
+        assert vocab.size == 45 and len(ids) ** 2 > lm._GROUP_LINES
+        lines[-1] = f"{vocab.size - 1} {bad_id} 1.0"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        message = f"{path}: line {len(lines)}: token id out of range"
+        with pytest.raises(ModelFormatError) as exc:
+            load_model(path)
+        assert str(exc.value) == message
+        stderr = io.StringIO()
+        with contextlib.redirect_stderr(stderr):
+            code = cli.main(["decode", "--target", str(path), "--drafter", str(path),
+                             "--prompt", "x"])
+        assert (code, stderr.getvalue()) == (4, f"error: format: {message}\n")
+
     def test_vocabulary_token_of_two_characters_is_malformed(self, tmp_path):
         path = tmp_path / "m.model"
         save_model(aab_model(), path)

@@ -165,6 +165,12 @@ class TestMarkerHints:
         with pytest.raises(ValueError, match=f"marker hint language {lang!r}"):
             registry(hints={lang: "ô"})
 
+    @pytest.mark.parametrize("text", ["rôle", "Привет", "", "12345"])
+    def test_detector_rejects_a_hint_outside_the_table(self, text):
+        assert detect_source_language("rôle", {"fr": "ô"}) == "fr"
+        with pytest.raises(ValueError, match="marker hint language 'fe'"):
+            detect_source_language(text, {"fe": "ô"})
+
     def test_registry_file_hint_outside_the_table_rejected(self, tmp_path):
         (tmp_path / "fr.model").write_text("x", encoding="utf-8")
         reg_file = tmp_path / "registry.cfg"

@@ -114,6 +114,15 @@ class TestDraftOp:
         expected = generate(m, prompt, SamplerConfig(0.0, 0), 2)
         assert list(d.tokens) == expected
 
+    def test_greedy_draft_reads_no_generator(self):
+        m = chain_model("abcabd", order=2, k=0.3)
+        prompt = encode("a", m.vocab)
+        expected = generate(m, prompt, SamplerConfig(0.0, 0), 4)
+        assert list(draft(m, prompt, 4, 0.0, None).tokens) == expected
+        rng, twin = make_rng(5, DRAFT_STREAM), make_rng(5, DRAFT_STREAM)
+        assert list(draft(m, prompt, 4, 0.0, rng).tokens) == expected
+        assert rng.random() == twin.random()
+
     def test_draft_extends_its_own_context(self):
         m = chain_model("abcd", order=2)
         prompt = encode("a", m.vocab)
@@ -518,7 +527,7 @@ class TestDecodeSpeculative:
             assert all(0 <= a <= cfg.draft_len for a in stats.accepted_per_cycle)
             assert stats.drafter_calls <= stats.cycles * cfg.draft_len
 
-    def test_greedy_builds_no_acceptance_generator(self, monkeypatch):
+    def test_greedy_builds_no_generator(self, monkeypatch):
         target = chain_model("abacabadabe", order=3, k=0.3)
         drafter = chain_model("ababab", order=2, k=0.3, vocab=target.vocab)
         streams = []
@@ -528,7 +537,7 @@ class TestDecodeSpeculative:
                             or real(seed, stream, *path))
         prompt = encode("ab", target.vocab)
         decode_speculative(target, drafter, prompt, SpecConfig(3, 0.0, 20, seed=4))
-        assert streams == [DRAFT_STREAM]
+        assert streams == []
         streams.clear()
         decode_speculative(target, drafter, prompt, SpecConfig(3, 0.7, 20, seed=4))
         assert streams == [DRAFT_STREAM, ACCEPT_STREAM]
@@ -962,10 +971,11 @@ class TestTracedNames:
             monkeypatch.setattr(specdec, name,
                                 counting(name, getattr(specdec, name), checks.get(name)))
         monkeypatch.setattr(NGramModel, "next_dist", counting("next_dist", NGramModel.next_dist))
-        common = {"draft", "score_parallel", "apply_temperature", "sample", "next_dist"}
+        common = {"draft", "score_parallel", "apply_temperature", "next_dist"}
         model_work = {"next_dist", "apply_temperature", "sample", "residual_dist"}
         for temperature, verifier, extra in ((0.0, "verify_greedy", set()),
-                                             (0.7, "verify_stochastic", {"residual_dist"})):
+                                             (0.7, "verify_stochastic",
+                                              {"sample", "residual_dist"})):
             calls.clear()
             enclosing.clear()
             cfg = SpecConfig(draft_len=5, temperature=temperature, max_new_tokens=60, seed=1)
