@@ -270,7 +270,10 @@ def run_grid(target: NGramModel, grid: ExperimentGrid, *,
     mean and population std over seeds. An invalid knob raises ValueError from
     its EvalConfig before anything is decoded. A drafter that does not share the
     target's vocabulary is not decoded; each of its cells is an error. jobs > 1
-    fans cells out over worker processes without changing any result."""
+    fans cells out over at most that many worker processes, never more than
+    there are decodes, without changing any result; jobs < 1 raises ValueError."""
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     cfgs = [EvalConfig(grid.draft_len, t, max_new_tokens, grid.seeds,
                        cost if cost is not None else CostModel(), max_prompts=max_prompts)
             for t in grid.temperatures]
@@ -280,9 +283,10 @@ def run_grid(target: NGramModel, grid: ExperimentGrid, *,
                 for dn, cn, cfg in groups if dn not in mismatched
                 for s in _decoded_seeds(cfg.temperature, grid.seeds)]
     # One result per payload, in payload order.
-    if jobs > 1 and payloads:
+    workers = min(jobs, len(payloads))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = iter(list(pool.map(_eval_seed, *zip(*payloads))))
     else:
         results = (_eval_seed(*p) for p in payloads)

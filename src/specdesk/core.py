@@ -131,11 +131,6 @@ class Vocabulary:
         except KeyError:
             raise KeyError(f"token {token!r} not in vocabulary") from None
 
-    def token_at(self, token_id: int) -> str:
-        if not 0 <= token_id < len(self.tokens):
-            raise ValueError(f"token id {token_id} out of range for vocabulary of size {self.size}")
-        return self.tokens[token_id]
-
     def id_or_unk(self, char: str) -> int:
         return self._index.get(char, UNK_ID)
 
@@ -342,11 +337,21 @@ def _unescape_token(line: str) -> str:
     return re.sub(r"\\[nr\\]", lambda m: _UNESCAPED[m.group()], line)
 
 
+def _read_text(path, newline) -> str:
+    """The text of a UTF-8 file, opened with the given newline mode; bytes that
+    are not UTF-8 raise FormatError naming the path."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not valid UTF-8: byte {exc.object[exc.start]:#04x} "
+                          f"at offset {exc.start}") from None
+
+
 def read_lines(path) -> list[str]:
     """Lines of a UTF-8 file split on '\\n' only (a '\\r' stays in its line),
     without the empty string after a final newline."""
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = fh.read().split("\n")
+    lines = _read_text(path, "").split("\n")
     if lines[-1] == "":
         lines.pop()
     return lines
@@ -387,8 +392,9 @@ def save_vocab(vocab: Vocabulary, path) -> None:
 
 
 def load_vocab(path) -> Vocabulary:
+    lines = read_lines(path)
     try:
-        return parse_vocab_lines(read_lines(path))
+        return parse_vocab_lines(lines)
     except FormatError as exc:
         raise FormatError(f"{path}: {exc}") from exc
 
@@ -400,7 +406,7 @@ def read_sections(path) -> dict:
     Unlike read_lines, '\\r\\n' and a lone '\\r' also end a line here."""
     sections: dict = {}
     current = None
-    for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
+    for ln, raw in enumerate(_read_text(path, None).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

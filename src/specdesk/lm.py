@@ -487,10 +487,12 @@ def _parse_model(lines: list[str]) -> NGramModel:
 
 
 def load_model(path) -> NGramModel:
-    """Read a save_model file. An unsupported version raises ModelVersionError;
-    any other defect, including an invalid order or k, ModelFormatError."""
+    """Read a save_model file. A file that is not UTF-8 raises read_lines'
+    FormatError; an unsupported version ModelVersionError; any other defect,
+    including an invalid order or k, ModelFormatError."""
+    lines = read_lines(path)
     try:
-        return _parse_model(read_lines(path))
+        return _parse_model(lines)
     except ModelVersionError as exc:
         raise ModelVersionError(f"{path}: {exc}") from None
     except ValueError as exc:

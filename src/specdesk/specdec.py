@@ -13,9 +13,9 @@ target-only greedy decoding.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
-from typing import Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,47 +94,22 @@ class Draft:
         return len(self.tokens)
 
 
-@dataclass(frozen=True, slots=True)
-class VerificationOutcome:
-    """Result of verifying one draft: length of the accepted prefix plus either
-    a correction token (after a rejection) or a bonus token (full acceptance)."""
+class VerificationOutcome(NamedTuple):
+    """Result of verifying one draft: the length of the accepted prefix and
+    the one target token emitted after it, a correction when accepted_count <
+    len(draft) and a bonus token when the whole draft was accepted."""
 
     accepted_count: int
-    correction: Optional[int] = None
-    bonus: Optional[int] = None
-
-    def __post_init__(self):
-        if (self.correction is None) == (self.bonus is None):
-            raise ValueError("exactly one of correction/bonus must be present")
-
-    @classmethod
-    def _trusted(cls, accepted_count: int, correction: Optional[int],
-                 bonus: Optional[int]) -> "VerificationOutcome":
-        """An outcome built by a verifier, which sets exactly one of
-        correction and bonus; skips the re-check."""
-        o = object.__new__(cls)
-        _set_accepted_count(o, accepted_count)
-        _set_correction(o, correction)
-        _set_bonus(o, bonus)
-        return o
-
-    def emitted(self, draft: Draft) -> TokenSequence:
-        """Tokens this cycle contributes, in order: accepted prefix then the
-        correction or bonus token (always accepted_count + 1 tokens)."""
-        extra = self.correction if self.correction is not None else self.bonus
-        return list(draft.tokens[: self.accepted_count]) + [extra]
+    token: int
 
 
-# The slots' own setters, which the frozen classes' __setattr__ does not
-# guard; the trusted constructors fill a new instance through them.
+# The slots' own setters, which the frozen class's __setattr__ does not
+# guard; Draft._trusted fills a new instance through them.
 _set_tokens, _set_dists = Draft.tokens.__set__, Draft.dists.__set__
-_set_accepted_count, _set_correction, _set_bonus = (
-    VerificationOutcome.accepted_count.__set__, VerificationOutcome.correction.__set__,
-    VerificationOutcome.bonus.__set__)
 
-# Equal outcomes share one frozen object, kept in a bounded cache like
+# Equal outcomes share one object, kept in a bounded cache like
 # core._one_hot's: most cycles repeat a few (accepted count, token) pairs.
-_outcome = lru_cache(maxsize=4096)(VerificationOutcome._trusted)
+_outcome = lru_cache(maxsize=4096)(VerificationOutcome)
 
 
 @dataclass(slots=True)
@@ -159,18 +134,7 @@ class DecodeStats:
     seed: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "cycles": self.cycles,
-            "accepted_per_cycle": list(self.accepted_per_cycle),
-            "emitted_tokens": self.emitted_tokens,
-            "truncated_tokens": self.truncated_tokens,
-            "target_calls": self.target_calls,
-            "drafter_calls": self.drafter_calls,
-            "draft_len": self.draft_len,
-            "temperature": self.temperature,
-            "max_new_tokens": self.max_new_tokens,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def draft(drafter: NGramModel, context: Sequence[int], draft_len: int,
@@ -223,13 +187,9 @@ class _TargetRows(Sequence):
     def __len__(self) -> int:
         return len(self.tokens) + 1
 
-    def __getitem__(self, j):
-        size = len(self.tokens) + 1
-        if j.__class__ is slice:
-            return [self[i] for i in range(*j.indices(size))]
-        if not -size <= j < size:
+    def __getitem__(self, j: int) -> Distribution:
+        if not 0 <= j <= len(self.tokens):
             raise IndexError("target row index out of range")
-        j %= size
         # Once j reaches order - 1, the last order - 1 draft tokens are the
         # whole context, even when the tail is shorter than order - 1.
         n1 = self.order - 1
@@ -310,8 +270,8 @@ def verify_stochastic(d: Draft, target_dists: Sequence[Distribution], rng) -> Ve
             residual = residual_dist(q, p)
         except ValueError:  # the residual vanished
             residual = q
-        return _outcome(j, sample(residual, rng), None)
-    return _outcome(len(tokens), None, sample(apply_temperature(score(ctx), temperature), rng))
+        return _outcome(j, sample(residual, rng))
+    return _outcome(len(tokens), sample(apply_temperature(score(ctx), temperature), rng))
 
 
 def verify_greedy(d: Draft, target_dists: Sequence[Distribution]) -> VerificationOutcome:
@@ -323,9 +283,9 @@ def verify_greedy(d: Draft, target_dists: Sequence[Distribution]) -> Verificatio
     for j, token in enumerate(tokens):
         top = argmax(apply_temperature(score(ctx), temperature))
         if token != top:
-            return _outcome(j, top, None)
+            return _outcome(j, top)
         ctx.append(token)
-    return _outcome(len(tokens), None, argmax(apply_temperature(score(ctx), temperature)))
+    return _outcome(len(tokens), argmax(apply_temperature(score(ctx), temperature)))
 
 
 def decode_speculative(target: NGramModel, drafter: NGramModel,
@@ -361,28 +321,18 @@ def decode_speculative(target: NGramModel, drafter: NGramModel,
             outcome = verify_greedy(d, target_dists)
         else:
             outcome = verify_stochastic(d, target_dists, accept_rng)
-        tokens = d.tokens
-        drafted += len(tokens)
-        n = outcome.accepted_count
+        n, extra = outcome
         accepted_per_cycle.append(n)
-        extra = outcome.correction
-        if extra is None:
-            extra = outcome.bonus
+        drafted += len(d.tokens)
         # Keep the cycle up to its first <eos> or the remaining budget; an
         # <eos> right after the last token the budget allows still counts.
+        cycle = d.tokens[:n] + (extra,)
         room = limit - len(context)
-        if extra == EOS_ID or EOS_ID in tokens:
-            cycle = tokens[:n] + (extra,)
-            if EOS_ID in cycle and cycle.index(EOS_ID) <= room:
-                eos = True
-                context += cycle[:cycle.index(EOS_ID)]
-                break
-            context += cycle[:room]
-        elif n < room:
-            context += tokens[:n]
-            context.append(extra)
-        else:
-            context += tokens[:room]
+        if EOS_ID in cycle and cycle.index(EOS_ID) <= room:
+            context += cycle[:cycle.index(EOS_ID)]
+            eos = True
+            break
+        context += cycle[:room]
         if len(context) >= limit:
             break
     cycles = len(accepted_per_cycle)

@@ -224,6 +224,39 @@ class TestRunGrid:
         parallel = run_grid(target, grid, max_new_tokens=10, max_prompts=3, jobs=2)
         assert serial.rows == parallel.rows
 
+    def test_pool_has_no_more_workers_than_decodes(self, trained_pair, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class InlinePool:
+            """Records max_workers and maps in this process; starts no worker."""
+
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        target, _, d_de, d_ru, eval_de, _ = trained_pair
+        # 2 drafters x 1 corpus x (one greedy decode + 2 seeds at T=1): 6 decodes.
+        grid = ExperimentGrid({"de": d_de, "ru": d_ru}, {"de": eval_de},
+                              temperatures=(0.0, 1.0), seeds=(0, 1), draft_len=3)
+        serial = run_grid(target, grid, max_new_tokens=6, max_prompts=2, jobs=1)
+        for jobs in (100_000, 4):
+            assert run_grid(target, grid, max_new_tokens=6, max_prompts=2, jobs=jobs) == serial
+        # A single decode runs in this process, whatever jobs is.
+        one = ExperimentGrid({"de": d_de}, {"de": eval_de}, temperatures=(0.0,), seeds=(0, 1))
+        run_grid(target, one, max_new_tokens=6, max_prompts=2, jobs=8)
+        assert sizes == [6, 4]
+
     def test_greedy_cells_are_decoded_once(self, trained_pair):
         target, _, d_de, _, eval_de, eval_ru = trained_pair
         alien = pretrain(Corpus((("", "zz"),)), order=2, k=0.5)

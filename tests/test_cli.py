@@ -255,6 +255,28 @@ class TestExitCodes:
         assert proc.returncode == 4
         assert not (ws / "multi.model").exists()
 
+    # One command per kind of input file, each reading bad.bin.
+    NON_UTF8_READS = {
+        "corpus": ["vocab", "build", "--corpus", "bad.bin", "--out", "bad.out"],
+        "vocabulary": ["train", "pretrain", "--corpus", "de.tsv", "--vocab", "bad.bin",
+                       "--out", "bad.out"],
+        "model": ["train", "finetune", "--model", "bad.bin", "--corpus", "de.tsv",
+                  "--out", "bad.out"],
+        "config": ["decode", "--config", "bad.bin", "--target", "target_de.model",
+                   "--drafter", "drafter_de.model", "--prompt", "x"],
+        "registry": ["route", "--registry", "bad.bin", "--text", "x"],
+    }
+
+    @pytest.mark.parametrize("kind", NON_UTF8_READS)
+    def test_non_utf8_file_is_4_and_names_its_path(self, ws, capsys, monkeypatch, kind):
+        monkeypatch.chdir(ws)
+        (ws / "bad.bin").write_bytes(b"<bos>\n\xff\n")
+        assert main(self.NON_UTF8_READS[kind]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: format: bad.bin: not valid UTF-8: byte 0xff at offset 6\n"
+        assert not (ws / "bad.out").exists()
+
 
 # Every value flag of every non-bench command, with two values that give
 # different outputs (the second may fail). A case runs with every flag at its
@@ -492,6 +514,16 @@ class TestBenchCommands:
         assert proc.returncode == 6, proc.stderr
         assert proc.stderr.startswith("error: invalid: draft_len")
         assert not (ws / "outK0" / "grid.csv").exists()
+
+    def test_grid_jobs_below_one_is_6(self, ws, capsys, monkeypatch):
+        self._grid_config(ws)
+        monkeypatch.chdir(ws)
+        for jobs in ("0", "-3"):
+            code = main(["bench", "grid", "--config", "grid.cfg", "--out-dir", "outJ",
+                         "--jobs", jobs])
+            assert code == 6
+            assert capsys.readouterr().err == f"error: invalid: jobs must be >= 1, got {jobs}\n"
+        assert not (ws / "outJ").exists()
 
     def test_unknown_key_is_4(self, ws):
         text = self._grid_config(ws).read_text(encoding="utf-8")

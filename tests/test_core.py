@@ -65,7 +65,7 @@ class TestVocabulary:
     def test_lookup_token_at_identity(self):
         v = build_vocab("xyz")
         for i in range(v.size):
-            assert v.lookup(v.token_at(i)) == i
+            assert v.lookup(v.tokens[i]) == i
 
     def test_duplicate_tokens_rejected(self):
         with pytest.raises(ValueError):

@@ -72,17 +72,19 @@ class TestDraftType:
 
 class TestVerificationOutcomeType:
     def test_exactly_one_of_correction_bonus(self):
-        with pytest.raises(ValueError):
-            VerificationOutcome(1, correction=None, bonus=None)
-        with pytest.raises(ValueError):
-            VerificationOutcome(1, correction=2, bonus=3)
+        # One token follows the accepted prefix: a correction or a bonus.
+        with pytest.raises(TypeError):
+            VerificationOutcome(1)
+        with pytest.raises(TypeError):
+            VerificationOutcome(1, 2, 3)
+        assert VerificationOutcome(1, 2) == (1, 2)
 
     def test_emitted_is_accepted_plus_one(self):
         d = Draft((0, 1), (dist(0.6, 0.4), dist(0.6, 0.4)))
-        out = VerificationOutcome(1, correction=1)
-        assert out.emitted(d) == [0, 1]
-        out = VerificationOutcome(2, bonus=0)
-        assert out.emitted(d) == [0, 1, 0]
+        n, token = VerificationOutcome(1, 1)  # a correction
+        assert d.tokens[:n] + (token,) == (0, 1)
+        n, token = VerificationOutcome(2, 0)  # a bonus
+        assert d.tokens[:n] + (token,) == (0, 1, 0)
 
 
 class TestDraftOp:
@@ -180,12 +182,13 @@ class TestScoreOnDemand:
             eager = [apply_temperature(m.next_dist(prompt + list(d.tokens[:j])), 0.7)
                      for j in range(len(d) + 1)]
             assert len(rows) == len(d) + 1
-            assert rows[-1] is eager[-1]
-            assert rows[2] is eager[2] and rows[-3] is eager[-3]
-            assert rows[1:3] == eager[1:3]
+            assert rows[len(d)] is eager[-1]
+            assert rows[2] is eager[2] and rows[len(d) - 2] is eager[-3]
+            assert [rows[1], rows[2]] == eager[1:3]
             assert list(rows) == eager
-            with pytest.raises(IndexError):
-                rows[len(d) + 1]
+            for j in (-1, len(d) + 1):
+                with pytest.raises(IndexError):
+                    rows[j]
 
     def test_rows_ignore_later_changes_to_the_context(self):
         m = chain_model("abcabd", order=3, k=0.4)
@@ -194,7 +197,7 @@ class TestScoreOnDemand:
         rows = score_parallel(m, prompt, d, 1.0)
         want = m.next_dist(prompt + list(d.tokens))
         prompt.extend(encode("dd", m.vocab))
-        assert rows[-1] is want
+        assert rows[len(d)] is want
 
     def test_row_contexts_stay_short_for_long_drafts(self):
         # Each row reads at most the context tail plus order - 1 draft
@@ -326,8 +329,7 @@ class TestVerifyStochastic:
         d = Draft((1, 1, 0), (p, p, p))
         for seed in range(10):
             out = verify_stochastic(d, [p, p, p, p], make_rng(seed, ACCEPT_STREAM))
-            assert out.accepted_count == 3
-            assert out.bonus is not None
+            assert out.accepted_count == len(d) and out.token in (0, 1)  # a bonus
 
     def test_hand_rejection_case(self):
         # drafted token has p=0.5 but q=0.1; r=0.5 >= 0.2 rejects;
@@ -336,8 +338,7 @@ class TestVerifyStochastic:
         q = dist(0.9, 0.1)
         d = Draft((1,), (p,))
         out = verify_stochastic(d, [q, q], FixedUniforms([0.5, 0.123]))
-        assert out.accepted_count == 0
-        assert out.correction == 0
+        assert out == (0, 0)
 
     def test_acceptance_uses_strict_inequality_band(self):
         p = dist(0.5, 0.5)
@@ -353,16 +354,14 @@ class TestVerifyStochastic:
         d = Draft((0, 1), (p, p))
         # position 1 accepts (ratio capped at 1), position 2 rejects at r=0.9
         out = verify_stochastic(d, [q, q, q], FixedUniforms([0.5, 0.9, 0.0]))
-        assert out.accepted_count == 1
-        assert out.correction == 0
+        assert out == (1, 0)
 
     def test_bonus_sampled_from_last_dist(self):
         p = dist(1.0, 0.0)
         d = Draft((0,), (p,))
         bonus_dist = dist(0.0, 1.0)
         out = verify_stochastic(d, [p, bonus_dist], FixedUniforms([0.1, 0.6]))
-        assert out.accepted_count == 1
-        assert out.bonus == 1
+        assert out == (len(d), 1)
 
     def test_vanished_residual_takes_the_correction_from_q(self):
         target, drafter = synth.rounding_pair()
@@ -372,8 +371,7 @@ class TestVerifyStochastic:
         with pytest.raises(ValueError, match="vanished"):
             residual_dist(q, p)
         out = verify_stochastic(Draft((4,), (p,)), [q, q], FixedUniforms([1 - 2**-53, 0.5]))
-        assert out.accepted_count == 0
-        assert out.correction == sample(q, FixedUniforms([0.5]))
+        assert out == (0, sample(q, FixedUniforms([0.5])))
 
     def test_length_mismatch_rejected(self):
         p = dist(0.5, 0.5)
@@ -401,8 +399,7 @@ class TestVerifyGreedy:
         one_hot_a = dist(0.0, 1.0, 0.0)
         d = Draft((1, 1), (one_hot_a, one_hot_a))
         out = verify_greedy(d, [one_hot_a, one_hot_a, dist(0.0, 0.0, 1.0)])
-        assert out.accepted_count == 2
-        assert out.bonus == 2
+        assert out == (len(d), 2)
 
     def test_mismatch_emits_target_argmax(self):
         # draft [a, b] against target argmaxes [a, c, .]
@@ -410,8 +407,7 @@ class TestVerifyGreedy:
         d = Draft((a, b), (dist(1.0, 0.0, 0.0), dist(0.0, 1.0, 0.0)))
         targets = [dist(1.0, 0.0, 0.0), dist(0.0, 0.0, 1.0), dist(1.0, 0.0, 0.0)]
         out = verify_greedy(d, targets)
-        assert out.accepted_count == 1
-        assert out.correction == c
+        assert out == (1, c)
 
     def test_deterministic(self):
         d = Draft((0,), (dist(1.0, 0.0),))
@@ -868,7 +864,7 @@ class TestExactLaw:
     def _decode(target, drafter, prompt, cfg, cycles):
         cycles.clear()
         out, stats = decode_speculative(target, drafter, prompt, cfg)
-        stream = [t for d, outcome in cycles for t in outcome.emitted(d)]
+        stream = [t for d, (n, token) in cycles for t in d.tokens[:n] + (token,)]
         cut = min(stream.index(EOS_ID) if EOS_ID in stream else len(stream),
                   cfg.max_new_tokens)
         emitted = cut + (cut < len(stream) and stream[cut] == EOS_ID)
