@@ -212,6 +212,7 @@ _EVAL_KEYS = {
     "max_prompts": ("max_prompts", int),
     "cost_c": ("cost", lambda raw: CostModel(float(raw))),
     "weight": ("finetune_weight", float),
+    "budgets": ("token_budgets", _ints),
 }
 
 
@@ -237,6 +238,8 @@ def _bench_config(args, section: str, required: tuple[str, ...], keys: tuple[str
 def cmd_bench_grid(args) -> int:
     config, grid_cfg, kwargs = _bench_config(
         args, "grid", ("target",), ("K", "temps", "seeds", "max_new", "max_prompts", "cost_c"))
+    if args.jobs < 1:  # run_grid checks it too, but only after every file is read
+        raise ValueError(f"jobs must be >= 1, got {args.jobs}")
     axes = {k: kwargs.pop(k) for k in ("draft_len", "temperatures", "seeds") if k in kwargs}
     target = load_model(grid_cfg["target"])
     drafters = _load_named(config.get("grid.drafters", {}), "drafter", load_model)
@@ -252,13 +255,14 @@ def cmd_bench_grid(args) -> int:
 def cmd_bench_scaling(args) -> int:
     _, sc, kwargs = _bench_config(
         args, "scaling", ("target", "drafter", "corpus", "eval", "budgets"),
-        ("K", "temperature", "seeds", "max_new", "max_prompts", "cost_c", "weight"))
+        ("budgets", "K", "temperature", "seeds", "max_new", "max_prompts", "cost_c", "weight"))
+    budgets = kwargs.pop("token_budgets")
     cfg = EvalConfig(**kwargs)
     target = load_model(sc["target"])
     drafter_base = load_model(sc["drafter"])
     corpus = load_corpus(sc["corpus"])
     eval_corpus = load_corpus(sc["eval"])
-    curve = scaling_curve(target, drafter_base, corpus, _ints(sc["budgets"]), eval_corpus, cfg)
+    curve = scaling_curve(target, drafter_base, corpus, budgets, eval_corpus, cfg)
     csv_path, md_path = emit_report(curve.to_table(), args.out_dir, basename="scaling")
     _note(f"wrote {csv_path} and {md_path} "
           f"(spearman mean_accepted={curve.spearman_mean_accepted:.4f})")

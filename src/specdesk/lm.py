@@ -137,8 +137,6 @@ class NGramModel:
         self.vocab = vocab
         self.counts: dict[tuple[int, ...], dict[int, float]] = counts
         self.provenance = provenance
-        self._totals: dict[tuple[int, ...], float] = {}
-        self._refresh_totals(self.counts)
         self._dist_cache: dict[tuple[int, ...], Distribution] = {}
         # The add-k uniform every context without counts shares; it is kept
         # out of _dist_cache, so unseen contexts cost no cache entry.
@@ -158,12 +156,6 @@ class NGramModel:
         state = self.__dict__.copy()
         state["_dist_cache"] = {}
         return state
-
-    def _refresh_totals(self, contexts) -> None:
-        # fsum is exact, so a total does not depend on the order its counts
-        # were added in, and a model equals its reloaded copy.
-        for ctx in contexts:
-            self._totals[ctx] = math.fsum(self.counts[ctx].values())
 
     def _pad_context(self, context) -> tuple[int, ...]:
         n1 = self.order - 1
@@ -190,7 +182,9 @@ class NGramModel:
         weights = np.full(size, self.k, dtype=np.float64)
         for tok, count in per_tok.items():
             weights[tok] += count
-        dist = Distribution(weights / (self.k * size + self._totals[ctx]))
+        # fsum is exact, so the total does not depend on the order its counts
+        # were added in, and a model decodes like its reloaded copy.
+        dist = Distribution(weights / (self.k * size + math.fsum(per_tok.values())))
         if len(self._dist_cache) < _DIST_CACHE_LIMIT:
             self._dist_cache[ctx] = dist
         return dist
@@ -239,13 +233,11 @@ def _accumulate(model: NGramModel, corpus: Corpus, weight: float) -> None:
         windows = sliding_window_view(stream, order)[stream[n1:] != BOS_ID]
         tally.update(windows.view(window_key).ravel().tolist())
     counts = model.counts
-    touched = {}  # the contexts whose totals change, in first-seen order
     for window, n in zip(map(struct.Struct(f"<{order}I").unpack, tally), tally.values()):
         ctx, tok = window[:-1], window[-1]
         per_tok = counts.get(ctx)
         if per_tok is None:
             per_tok = counts[ctx] = {}
-        touched[ctx] = None
         count = float(per_tok.get(tok, 0.0))  # a model may be given int counts
         if weight == 1.0 and count.is_integer() and count + n <= _EXACT_INT:
             count += n
@@ -253,7 +245,6 @@ def _accumulate(model: NGramModel, corpus: Corpus, weight: float) -> None:
             for _ in range(n):
                 count += weight
         per_tok[tok] = count
-    model._refresh_totals(touched)
 
 
 def pretrain(corpus: Corpus, order: int, k: float = 0.5,
@@ -530,18 +521,28 @@ def load_corpus(path) -> Corpus:
 
 
 def save_corpus(corpus: Corpus, path) -> None:
+    """Write the corpus TSV that load_corpus reads. A corpus it would not
+    read back equal raises ValueError before anything is written."""
+    def holds(text, chars="\t\n\r"):
+        return any(c in text for c in chars)
     lines = []
     if corpus.langs is not None:
+        if not all(corpus.langs) or any(holds(tag, ",\t\n\r") for tag in corpus.langs):
+            raise ValueError(f"corpus langs {corpus.langs!r}: each tag must be non-empty, "
+                             f"without a comma, tab or newline")
         lines.append(f"#langs={corpus.langs[0]},{corpus.langs[1]}")
     for key in sorted(corpus.meta):
         value = corpus.meta[key]
-        if any(c in key or c in value for c in "\t\n\r"):
-            raise ValueError(f"corpus meta {key!r} contains tab or newline")
+        if key == "langs" or holds(key, "=\t\n\r") or holds(value):
+            raise ValueError(f"corpus meta {key!r}: the key must not be 'langs' or hold '=', "
+                             f"and neither key nor value a tab or newline")
         lines.append(f"#{key}={value}")
     for i, (prompt, completion) in enumerate(corpus.records):
-        if any(c in prompt or c in completion for c in "\t\n\r"):
+        if holds(prompt) or holds(completion):
             raise ValueError(f"record {i} contains a tab or newline; not representable in TSV")
         lines.append(f"{prompt}\t{completion}")
+    if corpus.records and corpus.records[0][0].startswith("#"):
+        raise ValueError("record 0's prompt starts with '#', which would read back as a header")
     write_lines(path, lines)
 
 

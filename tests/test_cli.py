@@ -525,6 +525,29 @@ class TestBenchCommands:
             assert capsys.readouterr().err == f"error: invalid: jobs must be >= 1, got {jobs}\n"
         assert not (ws / "outJ").exists()
 
+    def test_grid_jobs_is_checked_before_any_file_is_read(self, ws, capsys, monkeypatch):
+        (ws / "bad.model").write_text("not a model\n", encoding="utf-8")
+        (ws / "grid_bad.cfg").write_text("[grid]\ntarget = bad.model\n", encoding="utf-8")
+        monkeypatch.chdir(ws)
+        argv = ["bench", "grid", "--config", "grid_bad.cfg", "--out-dir", "outJB"]
+        assert main(argv + ["--jobs", "0"]) == 6
+        assert capsys.readouterr().err == "error: invalid: jobs must be >= 1, got 0\n"
+        assert main(argv) == 4
+        assert not (ws / "outJB").exists()
+
+    def test_scaling_budgets_are_parsed_before_any_file_is_read(self, ws, capsys, monkeypatch):
+        (ws / "bad.model").write_text("not a model\n", encoding="utf-8")
+        monkeypatch.chdir(ws)
+        for target in ("bad.model", "target_de.model"):
+            (ws / "scaling_bx.cfg").write_text(
+                f"[scaling]\ntarget = {target}\ndrafter = base.model\ncorpus = de.tsv\n"
+                "eval = eval_de.tsv\nbudgets = 100,x\n", encoding="utf-8")
+            code = main(["bench", "scaling", "--config", "scaling_bx.cfg", "--out-dir", "scBx"])
+            assert code == 6
+            assert capsys.readouterr().err == ("error: invalid: [scaling] budgets: "
+                                               "invalid literal for int() with base 10: 'x'\n")
+        assert not (ws / "scBx").exists()
+
     def test_unknown_key_is_4(self, ws):
         text = self._grid_config(ws).read_text(encoding="utf-8")
         (ws / "grid_unknown.cfg").write_text(text.replace("temps = 0.0", "temperature = 0.7"),

@@ -46,6 +46,13 @@ def aab_model(k=1.0):
     return pretrain(AAB, order=2, k=k)
 
 
+def assert_same_dists(model, other):
+    """next_dist gives bit-identical probabilities on every context either
+    model has counts for."""
+    for ctx in model.counts.keys() | other.counts.keys():
+        assert model.next_dist(ctx).probs.tobytes() == other.next_dist(ctx).probs.tobytes()
+
+
 class TestPretrainCounting:
     def test_bigram_hand_counts(self):
         # stream <bos> a a b <eos>: transitions <bos>->a, a->a, a->b, b-><eos>
@@ -192,7 +199,7 @@ class TestFinetune:
         m = aab_model()
         tuned = finetune(m, Corpus(()), weight=1.0)
         assert tuned.counts == m.counts
-        assert tuned._totals == m._totals
+        assert_same_dists(tuned, m)
 
     def test_finetune_equals_concatenated_pretrain(self):
         corpus = Corpus((("", "aab"), ("a", "bb")))
@@ -246,11 +253,10 @@ class TestFinetune:
     def test_rejected_corpus_leaves_the_model_untouched(self):
         m = aab_model()
         before = {ctx: dict(d) for ctx, d in m.counts.items()}
-        totals = dict(m._totals)
         with pytest.raises(ValueError, match=r"^training record 1 has an empty completion$"):
             finetune(m, Corpus((("", "ab"), ("a", ""), ("b", ""))), weight=0.5)
         assert m.counts == before
-        assert m._totals == totals
+        assert_same_dists(m, aab_model())
 
     def test_provenance_chain(self):
         tuned = finetune(aab_model(), Corpus((("", "ab"),), langs=("de", "en")))
@@ -269,7 +275,6 @@ def reference_add_stream(counts, order, ids, weight):
 
 
 def reference_train(model, corpus, weight, provenance):
-    # The totals come from NGramModel, which sums each context's counts.
     counts = {ctx: dict(per_tok) for ctx, per_tok in model.counts.items()}
     for prompt, completion in corpus.records:
         reference_add_stream(counts, model.order, encode(prompt + completion, model.vocab),
@@ -285,13 +290,13 @@ def model_bytes(model):
 
 
 def assert_same_model(bulk, reference):
-    """Equal counts, in equal context and token order, equal totals in equal
-    order, and equal saved bytes."""
+    """Equal counts, in equal context and token order, bit-identical
+    distributions, and equal saved bytes."""
     assert list(bulk.counts) == list(reference.counts)
     for ctx, per_tok in bulk.counts.items():
         assert list(per_tok.items()) == list(reference.counts[ctx].items())
         assert all(type(count) is float for count in per_tok.values())
-    assert list(bulk._totals.items()) == list(reference._totals.items())
+    assert_same_dists(bulk, reference)
     assert model_bytes(bulk) == model_bytes(reference)
 
 
@@ -380,7 +385,7 @@ class TestBulkCounting:
             model = finetune(model, corpus, weight)
         path = tmp_path / "m.model"
         save_model(model, path)
-        assert load_model(path)._totals == model._totals
+        assert_same_dists(load_model(path), model)
 
 
 class TestGenerate:
@@ -859,6 +864,11 @@ class TestModelLoaderFuzz:
             assert "Traceback" not in stderr.getvalue()
 
 
+# Characters that end a line, a field, a header, a key or a language tag, a
+# byte order mark, a lone surrogate and ordinary text.
+corpus_text = st.text(alphabet="ab #=,\t\n\r\ufeff\ud800é", max_size=5)
+
+
 class TestCorpusIO:
     def test_round_trip(self, tmp_path):
         corpus = Corpus((("hallo", "hello"), ("", "welt")), langs=("de", "en"),
@@ -896,6 +906,78 @@ class TestCorpusIO:
         path = tmp_path / "c.tsv"
         save_corpus(Corpus((("", "x"), ("y", ""))), path)
         assert load_corpus(path).records == (("", "x"), ("y", ""))
+
+    @pytest.mark.parametrize("corpus", [
+        Corpus((("#x=1", "y"),)),
+        Corpus((("#note", "y"), ("#later", "z"))),
+        Corpus((("#x", "y"),), langs=("de", "en")),
+        Corpus((("a", "b"),), meta={"k=v": "1"}),
+        Corpus((), meta={"langs": "de,en"}),
+        Corpus((("a", "b"),), langs=("d,e", "en")),
+        Corpus((("a", "b"),), langs=("", "en")),
+        Corpus((("a", "b"),), langs=("de", "e\nn")),
+    ])
+    def test_a_corpus_that_would_not_read_back_equal_is_refused(self, tmp_path, corpus):
+        path = tmp_path / "c.tsv"
+        with pytest.raises(ValueError):
+            save_corpus(corpus, path)
+        assert not path.exists()
+
+    def test_a_later_prompt_may_start_with_a_hash(self, tmp_path):
+        corpus = Corpus((("a", "b"), ("#x=1", "y")), meta={"k": "v=1"})
+        path = tmp_path / "c.tsv"
+        save_corpus(corpus, path)
+        assert load_corpus(path) == corpus
+
+    @settings(max_examples=300)
+    @given(records=st.lists(st.tuples(corpus_text, corpus_text), max_size=4),
+           langs=st.none() | st.tuples(corpus_text, corpus_text),
+           meta=st.dictionaries(st.just("langs") | corpus_text, corpus_text, max_size=3))
+    def test_round_trips_exactly_or_is_refused(self, records, langs, meta):
+        corpus = Corpus(tuple(records), langs, meta)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "c.tsv"
+            path.write_bytes(b"kept")
+            try:
+                save_corpus(corpus, path)
+            except ValueError:
+                assert path.read_bytes() == b"kept"
+            else:
+                assert load_corpus(path) == corpus
+
+
+# A saved corpus file with a language pair, a meta line and three records.
+CORPUS_FUZZ_BASE = b"#langs=de,en\n#temps=0.0,1.0\nHallo\thello\n\ta b\nja\tyes\n"
+# Bytes a fuzzed corpus file gains: those that end a line, a field, a header,
+# a key or a language tag, an invalid UTF-8 byte, an encoded lone surrogate, a
+# byte order mark, a header prefix and nothing.
+CORPUS_FUZZ_BYTES = [b"#", b"=", b",", b"\t", b"\n", b"\r", b"\xff", b"\xed\xa0\x80",
+                     "\ufeff".encode("utf-8"), b"\t\n", b"#langs=", b""]
+
+
+class TestCorpusLoaderFuzz:
+    """Mutated corpus files train, or fail with exit 4 or 6; never with an
+    internal error or a traceback."""
+
+    @settings(max_examples=200)
+    @given(edits=st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 3),
+                                    st.sampled_from(CORPUS_FUZZ_BYTES)),
+                          min_size=1, max_size=4),
+           flags=st.sampled_from([[], ["--skip-empty"], ["--task-prompts"]]))
+    def test_mutated_files_exit_0_4_or_6(self, edits, flags):
+        data = bytearray(CORPUS_FUZZ_BASE)
+        for at, cut, insert in edits:
+            at %= len(data) + 1
+            data[at:at + cut] = insert
+        with tempfile.TemporaryDirectory() as tmp:
+            corpus, out = Path(tmp) / "c.tsv", Path(tmp) / "o.model"
+            corpus.write_bytes(bytes(data))
+            stderr = io.StringIO()
+            with contextlib.redirect_stderr(stderr):
+                code = cli.main(["train", "pretrain", "--corpus", str(corpus),
+                                 "--out", str(out), *flags])
+            assert code in (0, 4, 6), stderr.getvalue()
+            assert "Traceback" not in stderr.getvalue()
 
 
 class TestCorpusUtilities:
