@@ -263,20 +263,29 @@ def _summarise(decoded: list[tuple], seed_count: int) -> tuple[list[tuple], tupl
     return decoded, (*_mean_std(acc), *_mean_std(spd), _mean_std(rate)[0], _mean_std(tokens)[0])
 
 
-def run_grid(target: NGramModel, grid: ExperimentGrid, *,
-             max_new_tokens: int = 64, cost: Optional[CostModel] = None,
-             max_prompts: Optional[int] = None, jobs: int = 1) -> GridResult:
+def grid_configs(draft_len: int, temperatures: Sequence[float], seeds: Sequence[int], *,
+                 max_new_tokens: int = 64, cost: Optional[CostModel] = None,
+                 max_prompts: Optional[int] = None) -> list[EvalConfig]:
+    """The EvalConfig of each grid temperature, in order, which run_grid
+    decodes with. An invalid knob raises ValueError here, so a caller can
+    check the knobs before it reads any model or corpus."""
+    cost = cost if cost is not None else CostModel()
+    return [EvalConfig(draft_len, t, max_new_tokens, seeds, cost, max_prompts=max_prompts)
+            for t in temperatures]
+
+
+def run_grid(target: NGramModel, grid: ExperimentGrid, *, jobs: int = 1,
+             **knobs) -> GridResult:
     """Evaluate every (drafter, corpus, temperature, seed) cell and aggregate
-    mean and population std over seeds. An invalid knob raises ValueError from
-    its EvalConfig before anything is decoded. A drafter that does not share the
-    target's vocabulary is not decoded; each of its cells is an error. jobs > 1
-    fans cells out over at most that many worker processes, never more than
-    there are decodes, without changing any result; jobs < 1 raises ValueError."""
+    mean and population std over seeds. knobs are grid_configs' max_new_tokens,
+    cost and max_prompts; an invalid one raises ValueError from its EvalConfig
+    before anything is decoded. A drafter that does not share the target's
+    vocabulary is not decoded; each of its cells is an error. jobs > 1 fans
+    cells out over at most that many worker processes, never more than there
+    are decodes, without changing any result; jobs < 1 raises ValueError."""
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    cfgs = [EvalConfig(grid.draft_len, t, max_new_tokens, grid.seeds,
-                       cost if cost is not None else CostModel(), max_prompts=max_prompts)
-            for t in grid.temperatures]
+    cfgs = grid_configs(grid.draft_len, grid.temperatures, grid.seeds, **knobs)
     mismatched = {dn for dn, d in grid.drafters.items() if d.vocab != target.vocab}
     groups = [(dn, cn, cfg) for dn in grid.drafters for cn in grid.corpora for cfg in cfgs]
     payloads = [(target, grid.drafters[dn], grid.corpora[cn], cfg, s)
@@ -335,6 +344,19 @@ class ScalingCurve:
         return ReportTable(SCALING_COLUMNS, rows, meta)
 
 
+def check_budgets(token_budgets: Sequence[int]) -> list[int]:
+    """The budgets as ints; ValueError unless there is at least one and they
+    are positive and strictly increasing."""
+    budgets = [int(b) for b in token_budgets]
+    if not budgets:
+        raise ValueError("at least one token budget is required")
+    if any(b <= 0 for b in budgets):
+        raise ValueError("token budgets must be > 0")
+    if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
+        raise ValueError("token budgets must be strictly increasing")
+    return budgets
+
+
 def scaling_curve(target: NGramModel, drafter_base: NGramModel, finetune_corpus: Corpus,
                   token_budgets: Sequence[int], eval_corpus: Corpus,
                   cfg: EvalConfig) -> ScalingCurve:
@@ -343,13 +365,7 @@ def scaling_curve(target: NGramModel, drafter_base: NGramModel, finetune_corpus:
     budget and each metric. Budgets beyond the corpus size clamp with a
     warning. Budgets must be strictly increasing and positive and the eval
     corpus non-empty; both are checked before the first finetune."""
-    budgets = [int(b) for b in token_budgets]
-    if not budgets:
-        raise ValueError("at least one token budget is required")
-    if any(b <= 0 for b in budgets):
-        raise ValueError("token budgets must be > 0")
-    if any(b2 <= b1 for b1, b2 in zip(budgets, budgets[1:])):
-        raise ValueError("token budgets must be strictly increasing")
+    budgets = check_budgets(token_budgets)
     if not eval_corpus.records:
         raise ValueError("eval corpus has no records")
     available = finetune_corpus.token_count()

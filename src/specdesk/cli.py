@@ -31,7 +31,9 @@ from .bench import (
     CostModel,
     EvalConfig,
     ExperimentGrid,
+    check_budgets,
     emit_report,
+    grid_configs,
     run_grid,
     scaling_curve,
 )
@@ -238,9 +240,13 @@ def _bench_config(args, section: str, required: tuple[str, ...], keys: tuple[str
 def cmd_bench_grid(args) -> int:
     config, grid_cfg, kwargs = _bench_config(
         args, "grid", ("target",), ("K", "temps", "seeds", "max_new", "max_prompts", "cost_c"))
-    if args.jobs < 1:  # run_grid checks it too, but only after every file is read
+    # run_grid checks jobs and the knobs too, but only after every file is read.
+    if args.jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {args.jobs}")
-    axes = {k: kwargs.pop(k) for k in ("draft_len", "temperatures", "seeds") if k in kwargs}
+    # An axis the config leaves unset takes ExperimentGrid's default.
+    axes = {k: kwargs.pop(k, getattr(ExperimentGrid, k))
+            for k in ("draft_len", "temperatures", "seeds")}
+    grid_configs(**axes, **kwargs)
     target = load_model(grid_cfg["target"])
     drafters = _load_named(config.get("grid.drafters", {}), "drafter", load_model)
     corpora = _load_named(config.get("grid.corpora", {}), "corpus", load_corpus)
@@ -256,7 +262,8 @@ def cmd_bench_scaling(args) -> int:
     _, sc, kwargs = _bench_config(
         args, "scaling", ("target", "drafter", "corpus", "eval", "budgets"),
         ("budgets", "K", "temperature", "seeds", "max_new", "max_prompts", "cost_c", "weight"))
-    budgets = kwargs.pop("token_budgets")
+    # scaling_curve checks these too, but only after every file is read.
+    budgets = check_budgets(kwargs.pop("token_budgets"))
     cfg = EvalConfig(**kwargs)
     target = load_model(sc["target"])
     drafter_base = load_model(sc["drafter"])

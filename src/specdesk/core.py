@@ -304,7 +304,12 @@ def sample(d: Distribution, rng) -> int:
     Returns id i with probability d[i]; deterministic given the rng state.
     The cumulative sum is computed once per distribution and kept on it.
     """
-    u = rng.random()
+    return _inverse_cdf(d, rng.random())
+
+
+def _inverse_cdf(d: Distribution, u: float) -> int:
+    """The id whose cumulative-sum bin holds the uniform u: sample's rule,
+    which drafting also draws by."""
     cdf = d._cdf
     if cdf is None:
         cdf = array("d", d.probs.cumsum().tobytes())

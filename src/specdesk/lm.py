@@ -138,6 +138,9 @@ class NGramModel:
         self.counts: dict[tuple[int, ...], dict[int, float]] = counts
         self.provenance = provenance
         self._dist_cache: dict[tuple[int, ...], Distribution] = {}
+        # specdec.draft's rows: temperature -> padded context -> the tempered
+        # next_dist. Each temperature's table is bounded like _dist_cache.
+        self._draft_rows: dict[float, dict[tuple[int, ...], Distribution]] = {}
         # The add-k uniform every context without counts shares; it is kept
         # out of _dist_cache, so unseen contexts cost no cache entry.
         size = vocab.size
@@ -155,13 +158,14 @@ class NGramModel:
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_dist_cache"] = {}
+        state["_draft_rows"] = {}
         return state
 
     def _pad_context(self, context) -> tuple[int, ...]:
         n1 = self.order - 1
         if n1 == 0:
             return ()
-        tail = tuple(context[-n1:]) if context else ()
+        tail = tuple(context[-n1:])
         if len(tail) < n1:
             tail = (BOS_ID,) * (n1 - len(tail)) + tail
         return tail

@@ -25,6 +25,7 @@ from .core import (
     EOS_ID,
     Distribution,
     TokenSequence,
+    _inverse_cdf,
     _Uniforms,
     apply_temperature,
     argmax,
@@ -32,6 +33,7 @@ from .core import (
     make_rng,
     sample,
 )
+from . import lm
 from .lm import NGramModel
 
 
@@ -143,25 +145,39 @@ def draft(drafter: NGramModel, context: Sequence[int], draft_len: int,
     given temperature, recording each post-temperature distribution. Drafting
     stops early once <eos> is drafted (the <eos> token is kept in the draft).
     At T=0 each token is the argmax of its one-hot, the value any draw from
-    it would give, so greedy drafting reads nothing from rng (it may be None)."""
+    it would give, so greedy drafting reads nothing from rng (it may be None).
+
+    Each position's distribution is read from the drafter's table for this
+    temperature, keyed by the padded context next_dist reads. A missing row
+    is built from next_dist and apply_temperature, and the table keeps it
+    while it holds fewer than lm._DIST_CACHE_LIMIT rows. Drawing from a row
+    is sample's inverse-CDF rule, one uniform per token, so the table changes
+    no token, distribution object or draw."""
     if draft_len < 1:
         raise ValueError("draft_len must be >= 1")
-    # next_dist reads at most the last order - 1 ids of a context (fewer are
-    # padded), so the tail stands in for the whole context.
-    n1 = drafter.order - 1
-    ctx = list(context[-n1:]) if n1 else []
-    start = len(ctx)
-    next_dist = drafter.next_dist
+    rows = drafter._draft_rows.get(temperature)
+    if rows is None:
+        check_temperature(temperature)  # before a table is made for it
+        rows = drafter._draft_rows.setdefault(temperature, {})
+    key = drafter._pad_context(context)
     greedy = temperature == 0.0
-    dists = []
+    tokens, dists = [], []
     for _ in range(draft_len):
-        dist = apply_temperature(next_dist(ctx), temperature)
+        dist = rows.get(key)
+        if dist is None:
+            dist = apply_temperature(drafter.next_dist(key), temperature)
+            if greedy:
+                argmax(dist)  # fills dist._argmax
+            if len(rows) < lm._DIST_CACHE_LIMIT:
+                rows[key] = dist
+        token = dist._argmax if greedy else _inverse_cdf(dist, rng.random())
+        tokens.append(token)
         dists.append(dist)
-        token = argmax(dist) if greedy else sample(dist, rng)
-        ctx.append(token)
         if token == EOS_ID:
             break
-    return Draft._trusted(tuple(ctx[start:]), tuple(dists))
+        # The last order - 1 ids, so () for order 1.
+        key = (key + (token,))[1:]
+    return Draft._trusted(tuple(tokens), tuple(dists))
 
 
 class _TargetRows(Sequence):

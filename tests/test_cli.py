@@ -548,6 +548,40 @@ class TestBenchCommands:
                                                "invalid literal for int() with base 10: 'x'\n")
         assert not (ws / "scBx").exists()
 
+    def test_grid_knobs_are_checked_before_any_file_is_read(self, ws, capsys, monkeypatch):
+        (ws / "bad.model").write_text("not a model\n", encoding="utf-8")
+        monkeypatch.chdir(ws)
+        for knob, message in (("K = 0", "draft_len must be between 1 and 1024, got 0"),
+                              ("max_new = 0", "max_new_tokens must be >= 1"),
+                              ("temps = 0.0,-1", "temperature must be finite and >= 0, got -1.0")):
+            (ws / "grid_bad.cfg").write_text(f"[grid]\ntarget = bad.model\n{knob}\n",
+                                             encoding="utf-8")
+            code = main(["bench", "grid", "--config", "grid_bad.cfg", "--out-dir", "outGB"])
+            assert code == 6, knob
+            assert capsys.readouterr().err == f"error: invalid: {message}\n"
+        (ws / "grid_bad.cfg").write_text("[grid]\ntarget = bad.model\nK = 3\n", encoding="utf-8")
+        assert main(["bench", "grid", "--config", "grid_bad.cfg", "--out-dir", "outGB"]) == 4
+        assert not (ws / "outGB").exists()
+
+    def test_scaling_budgets_are_checked_before_any_file_is_read(self, ws, capsys, monkeypatch):
+        (ws / "bad.model").write_text("not a model\n", encoding="utf-8")
+        monkeypatch.chdir(ws)
+        for budgets, message in (("0", "token budgets must be > 0"),
+                                 ("100,-5", "token budgets must be > 0"),
+                                 ("100,100", "token budgets must be strictly increasing"),
+                                 ("400,100", "token budgets must be strictly increasing"),
+                                 ("100", None)):
+            (ws / "scaling_b0.cfg").write_text(
+                "[scaling]\ntarget = bad.model\ndrafter = base.model\ncorpus = de.tsv\n"
+                f"eval = eval_de.tsv\nbudgets = {budgets}\n", encoding="utf-8")
+            code = main(["bench", "scaling", "--config", "scaling_b0.cfg", "--out-dir", "scB0"])
+            err = capsys.readouterr().err
+            if message is None:  # valid budgets: the malformed target is read and rejected
+                assert code == 4 and err.startswith("error: format: bad.model:")
+            else:
+                assert (code, err) == (6, f"error: invalid: {message}\n"), budgets
+        assert not (ws / "scB0").exists()
+
     def test_unknown_key_is_4(self, ws):
         text = self._grid_config(ws).read_text(encoding="utf-8")
         (ws / "grid_unknown.cfg").write_text(text.replace("temps = 0.0", "temperature = 0.7"),

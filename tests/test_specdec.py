@@ -1,8 +1,11 @@
+import copy
 import math
+import pickle
 from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from specdesk import (
     BOS_ID,
@@ -142,6 +145,140 @@ def decode_tokens_str(model, ids):
     from specdesk import decode_tokens
 
     return decode_tokens(ids, model.vocab)
+
+
+def reference_draft(drafter, context, draft_len, temperature, rng):
+    """Drafting one position at a time, with no table: next_dist of the
+    context so far, apply_temperature, then argmax at T=0 or sample."""
+    n1 = drafter.order - 1
+    ctx = list(context[-n1:]) if n1 else []
+    start = len(ctx)
+    dists = []
+    for _ in range(draft_len):
+        row = apply_temperature(drafter.next_dist(ctx), temperature)
+        dists.append(row)
+        token = argmax(row) if temperature == 0.0 else sample(row, rng)
+        ctx.append(token)
+        if token == EOS_ID:
+            break
+    return Draft(tuple(ctx[start:]), tuple(dists))
+
+
+class CountingUniforms:
+    """The draft stream of a seed, counting the uniforms drawn from it."""
+
+    def __init__(self, seed):
+        self._rng = make_rng(seed, DRAFT_STREAM)
+        self.drawn = 0
+
+    def random(self):
+        self.drawn += 1
+        return self._rng.random()
+
+
+DRAFT_ALPHABET = "abc"
+draft_record = st.tuples(st.text(DRAFT_ALPHABET, max_size=5),
+                         st.text(DRAFT_ALPHABET, min_size=1, max_size=6))
+# Contexts hold any id of the vocabulary, <bos>, <eos> and <unk> included.
+draft_context = st.lists(st.integers(0, len(DRAFT_ALPHABET) + 2), max_size=8)
+
+
+def assert_drafts_like_reference(drafter, context, draft_len, temperature, seed,
+                                 same_objects=True):
+    rng, ref_rng = CountingUniforms(seed), CountingUniforms(seed)
+    got = draft(drafter, context, draft_len, temperature, rng)
+    want = reference_draft(drafter, context, draft_len, temperature, ref_rng)
+    assert got.tokens == want.tokens
+    assert len(got.dists) == len(want.dists)
+    for mine, theirs in zip(got.dists, want.dists):
+        if same_objects:
+            assert mine is theirs
+        else:
+            assert np.array_equal(mine.probs, theirs.probs)
+    assert rng.drawn == ref_rng.drawn == (0 if temperature == 0.0 else len(got.tokens))
+    return got
+
+
+class TestDraftTable:
+    """draft reads each position from a per-drafter, per-temperature table;
+    it must draft what the one-position-at-a-time loop drafts: the same tokens,
+    the same distribution objects and the same uniforms."""
+
+    @settings(max_examples=150)
+    @given(order=st.integers(1, 6),
+           k=st.sampled_from([0.3, 1e-6]),
+           temperature=st.sampled_from([0.0, 0.25, 0.7, 1.0, 3.0]),
+           records=st.lists(draft_record, min_size=1, max_size=6),
+           calls=st.lists(st.tuples(draft_context, st.integers(1, 8), st.integers(0, 2 ** 32)),
+                          min_size=1, max_size=6))
+    def test_equals_reference_cold_and_warm(self, order, k, temperature, records, calls):
+        drafter = pretrain(Corpus(tuple(records)), order, k=k, vocab=build_vocab(DRAFT_ALPHABET))
+        # Each call runs twice: the first may build rows, the second reads them.
+        for context, draft_len, seed in calls + calls:
+            assert_drafts_like_reference(drafter, context, draft_len, temperature, seed)
+
+    @pytest.mark.parametrize("order", range(1, 7))
+    def test_every_order_temperature_and_length(self, order):
+        drafter = pretrain(Corpus((("ab", "ca"), ("", "b"), ("c", "abcab"))), order, k=1e-3,
+                           vocab=build_vocab(DRAFT_ALPHABET))
+        eos_mid_draft = 0
+        for temperature in (0.0, 0.25, 0.7, 1.0, 3.0):
+            for context in ([], [3], [3, 4, 5, 3], [0, 1, 2, 3, 4, 5, 3, 4], np.array([4, 3])):
+                for draft_len in range(1, 9):
+                    for seed in range(3):
+                        got = assert_drafts_like_reference(drafter, context, draft_len,
+                                                           temperature, seed)
+                        eos_mid_draft += EOS_ID in got.tokens and len(got) < draft_len
+        assert eos_mid_draft > 0
+        assert set(drafter._draft_rows) == {0.0, 0.25, 0.7, 1.0, 3.0}
+        # Rows are keyed by the padded context next_dist reads: order - 1 ids.
+        assert {len(key) for rows in drafter._draft_rows.values() for key in rows} == {order - 1}
+
+    def test_draw_past_the_end_of_the_cdf_takes_the_last_positive_id(self):
+        # Ten ids of mass 0.1 sum, in order, to 1 - 2**-53: the largest
+        # uniform lies past the last cdf entry.
+        vocab = build_vocab(DRAFT_ALPHABET + "defghij")
+        drafter = NGramModel(1, 1.0, vocab)
+        largest = 1.0 - 2.0 ** -53
+        assert largest >= drafter.next_dist([]).probs.cumsum()[-1]
+        got = draft(drafter, [], 3, 0.7, FixedUniforms([largest] * 3))
+        want = reference_draft(drafter, [], 3, 0.7, FixedUniforms([largest] * 3))
+        assert got.tokens == want.tokens == (vocab.size - 1,) * 3
+        assert all(mine is theirs for mine, theirs in zip(got.dists, want.dists))
+
+    def test_invalid_temperature_makes_no_table(self):
+        m = chain_model("abcabd", order=2, k=0.3)
+        for temperature in (-1.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                draft(m, [], 3, temperature, make_rng(0, DRAFT_STREAM))
+        assert m._draft_rows == {}
+
+    def test_table_goes_with_its_drafter(self):
+        m = chain_model("abcabd", order=3, k=0.3)
+        for temperature in (0.0, 0.7):
+            draft(m, encode("ab", m.vocab), 4, temperature, make_rng(0, DRAFT_STREAM))
+        assert set(m._draft_rows) == {0.0, 0.7} and all(m._draft_rows.values())
+        tuned = finetune(m, Corpus((("a", "bd"),)))
+        for fresh in (copy.copy(m), pickle.loads(pickle.dumps(m)), tuned):
+            assert fresh._draft_rows == {}
+        assert all(m._draft_rows.values())
+        # A copy builds its own rows, from its own next_dist.
+        twin = copy.copy(m)
+        for temperature in (0.0, 0.7):
+            assert_drafts_like_reference(twin, encode("ab", m.vocab), 4, temperature, 0)
+        assert twin._draft_rows[0.7] is not m._draft_rows[0.7]
+
+    @pytest.mark.parametrize("limit", [0, 1, 3])
+    def test_bounded_tables_draft_like_the_reference(self, limit, monkeypatch):
+        monkeypatch.setattr(lm, "_DIST_CACHE_LIMIT", limit)
+        m = chain_model("abcabdacbbca", order=3, k=0.3)
+        for temperature in (0.0, 0.7):
+            for context in ([], [3], [4, 5], [5, 3, 4]):
+                for seed in range(4):
+                    # Past the bound next_dist builds a new object per call.
+                    assert_drafts_like_reference(m, context, 6, temperature, seed,
+                                                 same_objects=False)
+            assert len(m._draft_rows[temperature]) == limit
 
 
 class TestScoreParallel:
