@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from specdesk import Corpus, make_prompt, save_corpus
+from specdesk import Corpus, save_corpus, with_task_prompts
 
 OUT = Path(__file__).resolve().parent.parent / "data" / "quickstart"
 
@@ -35,18 +35,13 @@ def bitext(src_bank, tgt_bank, langs, n, seed):
     return Corpus(tuple(records), langs=langs)
 
 
-def wrapped(corpus):
-    return Corpus(tuple((make_prompt(corpus.langs, p), c) for p, c in corpus),
-                  langs=corpus.langs)
-
-
 def main():
     OUT.mkdir(parents=True, exist_ok=True)
     de = bitext(DE, EN_DE, ("de", "en"), 120, seed=1)
     ru = bitext(RU, EN_RU, ("ru", "en"), 120, seed=2)
     save_corpus(de, OUT / "de-en.tsv")
     save_corpus(ru, OUT / "ru-en.tsv")
-    save_corpus(Corpus(wrapped(de).records + wrapped(ru).records),
+    save_corpus(Corpus(with_task_prompts(de).records + with_task_prompts(ru).records),
                 OUT / "tasks_all.tsv")
 
     rng = np.random.default_rng(3)
@@ -55,8 +50,10 @@ def main():
                     for _ in range(80))
     save_corpus(Corpus(general), OUT / "general.tsv")
 
-    save_corpus(wrapped(bitext(DE, EN_DE, ("de", "en"), 40, seed=11)), OUT / "eval_de.tsv")
-    save_corpus(wrapped(bitext(RU, EN_RU, ("ru", "en"), 40, seed=12)), OUT / "eval_ru.tsv")
+    save_corpus(with_task_prompts(bitext(DE, EN_DE, ("de", "en"), 40, seed=11)),
+                OUT / "eval_de.tsv")
+    save_corpus(with_task_prompts(bitext(RU, EN_RU, ("ru", "en"), 40, seed=12)),
+                OUT / "eval_ru.tsv")
 
     (OUT / "grid.cfg").write_text(
         "# drafter x corpus evaluation grid (paths relative to the repo root)\n"

@@ -37,7 +37,8 @@ from .bench import (
     run_grid,
     scaling_curve,
 )
-from .distill import DEFAULT_TEMPERATURES, DistillJob, self_distill, with_task_prompts
+from .distill import (DEFAULT_TEMPERATURES, DistillJob, check_wrapper, self_distill,
+                      with_task_prompts)
 from .routing import load_registry, select_drafter
 from .specdec import SpecConfig, VocabularyMismatchError, decode_speculative
 
@@ -354,7 +355,8 @@ def build_parser() -> argparse.ArgumentParser:
     ds.add_argument("--temps", type=_floats, help="temperature schedule")
     ds.add_argument("--samples", type=int, help="samples per nonzero temperature")
     ds.add_argument("--max-len", type=int, dest="max_len", help="max completion length")
-    ds.add_argument("--wrapper", help="chat template with a {prompt} placeholder")
+    ds.add_argument("--wrapper", type=check_wrapper,
+                    help="chat template with a {prompt} placeholder")
     ds.add_argument("--seed", type=int, help="base seed for all randomness")
     ds.add_argument("--out", help="output corpus TSV")
     ds.add_argument("--skip-empty", action="store_true", help="drop empty generations")

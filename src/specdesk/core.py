@@ -33,6 +33,11 @@ GENERATE_STREAM = 2   # plain autoregressive generation
 DISTILL_STREAM = 3    # per-record seeds for distillation jobs
 BENCH_STREAM = 4      # per-prompt seeds inside benchmark runs
 
+# The most temperatures a per-temperature memo keeps: a Distribution's
+# _tempered and a model's specdec.draft tables. Storing one more replaces the
+# memo with an empty one, which evicts every temperature it held.
+_TEMPERATURES_KEPT = 8
+
 # A token sequence is a plain list of vocabulary ids.
 TokenSequence = list[int]
 
@@ -189,7 +194,8 @@ class Distribution:
     ``_cdf`` holds the cumulative sum that sample bisects, ``_argmax`` the
     argmax and ``_residual`` maps a distribution q to
     ``specdec.residual_dist(q, self)``. They are pure functions of immutable
-    vectors, so two threads filling one at once store equal values.
+    vectors, so two threads filling one at once store equal values; a full
+    ``_tempered`` is replaced, never emptied in place, so neither thread raises.
     """
 
     probs: np.ndarray
@@ -253,7 +259,8 @@ def apply_temperature(d: Distribution, temperature: float) -> Distribution:
     so extreme temperatures cannot underflow the whole vector). A temperature
     so small that every entry overflows gives the T -> 0+ limit: the argmax
     ties share the mass equally. The result is memoised on ``d``, one entry
-    per temperature, and a repeat call returns the same object."""
+    per temperature for up to _TEMPERATURES_KEPT temperatures, and a repeat
+    call returns the same object while its temperature is kept."""
     tempered = d._tempered
     if tempered is not None:
         # Only temperatures that passed check_temperature are ever stored.
@@ -282,7 +289,7 @@ def apply_temperature(d: Distribution, temperature: float) -> Distribution:
             # the mass equally among the argmax ties.
             w = (probs == probs.max()).astype(np.float64)
         out = Distribution(w / w.sum())
-    if tempered is None:
+    if tempered is None or len(tempered) >= _TEMPERATURES_KEPT:
         tempered = {}
         object.__setattr__(d, "_tempered", tempered)
     tempered[temperature] = out
@@ -292,10 +299,12 @@ def apply_temperature(d: Distribution, temperature: float) -> Distribution:
 @lru_cache(maxsize=4096)
 def _one_hot(size: int, index: int) -> Distribution:
     # Shared by every distribution of this size whose argmax is index, so a
-    # cache of T=0 transforms holds at most one vector per token id.
+    # cache of T=0 transforms holds one vector, argmax set, per token id.
     probs = np.zeros(size)
     probs[index] = 1.0
-    return Distribution._trusted(probs)
+    d = Distribution._trusted(probs)
+    object.__setattr__(d, "_argmax", index)
+    return d
 
 
 def sample(d: Distribution, rng) -> int:

@@ -9,6 +9,7 @@ to anticipate.
 from __future__ import annotations
 
 import copy
+import string
 from dataclasses import dataclass
 from typing import Optional
 
@@ -28,11 +29,28 @@ LANGUAGE_NAMES = {
 DEFAULT_TEMPERATURES = (0.0, 0.3, 0.7, 1.0)
 
 
+def check_wrapper(wrapper: Optional[str]) -> Optional[str]:
+    """The wrapper unchanged if make_prompt can use it: None or '' (no
+    wrapper), or a template with a '{prompt}' field that
+    str.format(prompt=...) fills. Any other template raises ValueError: it
+    would fail on the first record, or drop every source text."""
+    if wrapper:
+        try:
+            wrapper.format(prompt="")
+            fields = [name for _, name, _, _ in string.Formatter().parse(wrapper)]
+        except (LookupError, ValueError, AttributeError, TypeError) as exc:
+            raise ValueError(f"template {wrapper!r} cannot be filled with "
+                             f"str.format(prompt=...): {exc!r}") from None
+        if "prompt" not in fields:
+            raise ValueError(f"template {wrapper!r} has no {{prompt}} field")
+    return wrapper
+
+
 def make_prompt(task: tuple[str, str], source_text: str, wrapper: Optional[str] = None) -> str:
     """Instruction prompt for a translation task, e.g. ("fr", "en") gives
     'Translate French to English: <source_text>'. A wrapper template with a
     '{prompt}' placeholder can add surrounding chat scaffolding; the default
-    is no wrapper."""
+    is no wrapper, and a template check_wrapper rejects raises ValueError."""
     src, tgt = task
     try:
         src_name = LANGUAGE_NAMES[src]
@@ -40,7 +58,7 @@ def make_prompt(task: tuple[str, str], source_text: str, wrapper: Optional[str] 
     except KeyError as exc:
         raise ValueError(f"unknown language tag {exc.args[0]!r}") from None
     prompt = f"Translate {src_name} to {tgt_name}: {source_text}"
-    return wrapper.format(prompt=prompt) if wrapper else prompt
+    return check_wrapper(wrapper).format(prompt=prompt) if wrapper else prompt
 
 
 def with_task_prompts(corpus: Corpus, wrapper: Optional[str] = None) -> Corpus:

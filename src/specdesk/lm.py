@@ -139,7 +139,8 @@ class NGramModel:
         self.provenance = provenance
         self._dist_cache: dict[tuple[int, ...], Distribution] = {}
         # specdec.draft's rows: temperature -> padded context -> the tempered
-        # next_dist. Each temperature's table is bounded like _dist_cache.
+        # next_dist. Each temperature's table is bounded like _dist_cache, and
+        # at most core._TEMPERATURES_KEPT temperatures are kept.
         self._draft_rows: dict[float, dict[tuple[int, ...], Distribution]] = {}
         # The add-k uniform every context without counts shares; it is kept
         # out of _dist_cache, so unseen contexts cost no cache entry.

@@ -23,6 +23,7 @@ from .core import (
     ACCEPT_STREAM,
     DRAFT_STREAM,
     EOS_ID,
+    _TEMPERATURES_KEPT,
     Distribution,
     TokenSequence,
     _inverse_cdf,
@@ -150,7 +151,8 @@ def draft(drafter: NGramModel, context: Sequence[int], draft_len: int,
     Each position's distribution is read from the drafter's table for this
     temperature, keyed by the padded context next_dist reads. A missing row
     is built from next_dist and apply_temperature, and the table keeps it
-    while it holds fewer than lm._DIST_CACHE_LIMIT rows. Drawing from a row
+    while it holds fewer than lm._DIST_CACHE_LIMIT rows. A drafter keeps the
+    tables of core._TEMPERATURES_KEPT temperatures at most. Drawing from a row
     is sample's inverse-CDF rule, one uniform per token, so the table changes
     no token, distribution object or draw."""
     if draft_len < 1:
@@ -158,6 +160,8 @@ def draft(drafter: NGramModel, context: Sequence[int], draft_len: int,
     rows = drafter._draft_rows.get(temperature)
     if rows is None:
         check_temperature(temperature)  # before a table is made for it
+        if len(drafter._draft_rows) >= _TEMPERATURES_KEPT:
+            drafter._draft_rows = {}
         rows = drafter._draft_rows.setdefault(temperature, {})
     key = drafter._pad_context(context)
     greedy = temperature == 0.0
@@ -166,8 +170,6 @@ def draft(drafter: NGramModel, context: Sequence[int], draft_len: int,
         dist = rows.get(key)
         if dist is None:
             dist = apply_temperature(drafter.next_dist(key), temperature)
-            if greedy:
-                argmax(dist)  # fills dist._argmax
             if len(rows) < lm._DIST_CACHE_LIMIT:
                 rows[key] = dist
         token = dist._argmax if greedy else _inverse_cdf(dist, rng.random())
@@ -291,17 +293,17 @@ def verify_stochastic(d: Draft, target_dists: Sequence[Distribution], rng) -> Ve
 
 
 def verify_greedy(d: Draft, target_dists: Sequence[Distribution]) -> VerificationOutcome:
-    """Greedy verification for temperature 0: accept the longest prefix whose
-    tokens equal the target argmax at each position; the correction or bonus
-    token is the target argmax at the first mismatch or past the end."""
+    """Greedy verification: accept the longest prefix whose tokens equal each row's argmax,
+    read from the untempered target row (its T=0 one-hot's argmax) or a caller's row as
+    given; the correction or bonus token is that argmax at the first mismatch or past the end."""
     tokens = d.tokens
-    score, ctx, temperature = _row_scorer(d, target_dists)
+    score, ctx, _ = _row_scorer(d, target_dists)
     for j, token in enumerate(tokens):
-        top = argmax(apply_temperature(score(ctx), temperature))
+        top = argmax(score(ctx))
         if token != top:
             return _outcome(j, top)
         ctx.append(token)
-    return _outcome(len(tokens), argmax(apply_temperature(score(ctx), temperature)))
+    return _outcome(len(tokens), argmax(score(ctx)))
 
 
 def decode_speculative(target: NGramModel, drafter: NGramModel,

@@ -311,6 +311,8 @@ INVALID_VALUES = [
     (("train", "finetune"), "--weight", "heavy"), (("train", "finetune"), "--max-tokens", "4.0"),
     (("distill",), "--temps", "0.7,,"), (("distill",), "--temps", ",0.7"),
     (("distill",), "--samples", "2.5"), (("distill",), "--seed", "x"),
+    (("distill",), "--wrapper", "{x}"), (("distill",), "--wrapper", "{0}"),
+    (("distill",), "--wrapper", "no field"),
     (("decode",), "--K", "abc"), (("decode",), "--T", "warm"), (("decode",), "--max-new", ""),
 ]
 BOOLEAN_KEYS = {("train", "pretrain"): ("task_prompts", "skip_empty"),
@@ -449,6 +451,18 @@ class TestDistillCommand:
         assert proc.returncode == 6
         assert proc.stdout == ""
         assert not (ws / "nan.tsv").exists()
+
+
+    @pytest.mark.parametrize("wrapper", ["{x}", "{0}", "Q: {prompt"])
+    def test_unfillable_wrapper_is_6_before_any_file_is_read(self, ws, wrapper):
+        (ws / "broken.model").write_text("not a model\n", encoding="utf-8")
+        proc = run_cli("distill", "--target", "broken.model", "--prompts", "absent.tsv",
+                       "--wrapper", wrapper, "--out", "wrapped.tsv", cwd=ws)
+        assert proc.returncode == 6
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: invalid: --wrapper (config key wrapper): ")
+        assert "Traceback" not in proc.stderr
+        assert not (ws / "wrapped.tsv").exists()
 
 
 class TestBenchCommands:

@@ -1,3 +1,4 @@
+import threading
 import warnings
 
 import numpy as np
@@ -23,9 +24,9 @@ from specdesk import (
     sample,
     save_vocab,
 )
-from specdesk.core import (_UNIFORM_BLOCK, ACCEPT_STREAM, DRAFT_STREAM, GENERATE_STREAM,
-                           RESERVED_TOKENS, _Uniforms, encode_array, read_lines, read_sections,
-                           write_lines)
+from specdesk.core import (_TEMPERATURES_KEPT, _UNIFORM_BLOCK, ACCEPT_STREAM, DRAFT_STREAM,
+                           GENERATE_STREAM, RESERVED_TOKENS, _one_hot, _Uniforms, encode_array,
+                           read_lines, read_sections, write_lines)
 
 
 class FixedUniforms:
@@ -296,6 +297,45 @@ class TestTemperatureMemo:
         b = apply_temperature(Distribution(np.array([0.3, 0.4, 0.3])), 0.0)
         assert a is b
         assert argmax(a) == 1 and a.p(1) == 1.0
+
+    def test_one_hot_is_built_knowing_its_argmax(self):
+        for size, index in ((1, 0), (3, 2), (70, 41)):
+            fresh = _one_hot.__wrapped__(size, index)  # no argmax call has seen it
+            assert fresh._argmax == index
+            assert argmax(fresh) == index == int(np.argmax(fresh.probs))
+
+    def test_memo_keeps_at_most_the_bound_of_temperatures(self):
+        probs = np.array([0.5, 0.3, 0.15, 0.05])
+        d = Distribution(probs)
+        for i in range(300):
+            t = 0.5 + i / 1000
+            out = apply_temperature(d, t)
+            assert np.array_equal(out.probs, reference_temperature(probs, t))
+            assert 1 <= len(d._tempered) <= _TEMPERATURES_KEPT
+            assert apply_temperature(d, t) is out
+        # An evicted temperature is transformed again, to the same values.
+        again = apply_temperature(d, 0.5)
+        assert np.array_equal(again.probs, reference_temperature(probs, 0.5))
+
+    def test_two_threads_filling_one_memo_at_once_never_raise(self):
+        d = Distribution(np.array([0.5, 0.3, 0.2]))
+        errors = []
+
+        def fill(offset):
+            try:
+                for i in range(3000):
+                    apply_temperature(d, 0.5 + (2 * i + offset) / 10_000)
+            except Exception as exc:  # collected, so the test thread sees it
+                errors.append(exc)
+
+        threads = [threading.Thread(target=fill, args=(offset,)) for offset in (0, 1)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        # Each thread may store one temperature past the other's check.
+        assert len(d._tempered) <= _TEMPERATURES_KEPT + 1
 
     def test_rejected_temperature_is_not_memoised(self):
         d = Distribution(np.array([0.8, 0.2]))

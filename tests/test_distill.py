@@ -41,6 +41,15 @@ class TestMakePrompt:
         got = make_prompt(("de", "en"), "hallo", wrapper="USER: {prompt} ASSISTANT:")
         assert got == "USER: Translate German to English: hallo ASSISTANT:"
 
+    @pytest.mark.parametrize("wrapper", ["{x}", "{0}", "{}", "no field", "{prompt",
+                                         "prompt}", "{prompt.x}", "{prompt:d}"])
+    def test_wrapper_it_cannot_fill_or_without_prompt_is_rejected(self, wrapper):
+        with pytest.raises(ValueError, match="template"):
+            make_prompt(("de", "en"), "hallo", wrapper=wrapper)
+
+    def test_empty_wrapper_is_no_wrapper(self):
+        assert make_prompt(("de", "en"), "hallo", wrapper="") == make_prompt(("de", "en"), "hallo")
+
     def test_with_task_prompts(self):
         corpus = Corpus((("hallo", "hello"),), langs=("de", "en"))
         out = with_task_prompts(corpus)

@@ -35,7 +35,7 @@ from specdesk import (
     verify_stochastic,
     with_task_prompts,
 )
-from specdesk import lm, specdec
+from specdesk import core, lm, specdec
 from specdesk.core import (ACCEPT_STREAM, DRAFT_STREAM, GENERATE_STREAM, UNK_ID, decode_tokens,
                            make_rng, sample)
 
@@ -819,6 +819,73 @@ def reference_generate(model, prompt, cfg, max_len):
         out.append(token)
         context.append(token)
     return out
+
+
+class TestGreedyVerificationReadsArgmaxes:
+    """At T=0 verification compares each drafted token with the argmax of the
+    untempered target row, so it tempers no target row."""
+
+    def test_t0_decode_tempers_no_target_row(self, saved_pair, monkeypatch):
+        target_path, drafter_path, prompts = saved_pair
+        target, drafter = load_model(target_path), load_model(drafter_path)
+        verifying, tempered_while_verifying = [], []
+
+        def verify(*args, verify_greedy=specdec.verify_greedy):
+            verifying.append(True)
+            try:
+                return verify_greedy(*args)
+            finally:
+                verifying.pop()
+
+        def temper(d, temperature, apply=specdec.apply_temperature):
+            if verifying:
+                tempered_while_verifying.append(temperature)
+            return apply(d, temperature)
+
+        monkeypatch.setattr(specdec, "verify_greedy", verify)
+        monkeypatch.setattr(specdec, "apply_temperature", temper)
+        for prompt in prompts:
+            out, stats = decode_speculative(target, drafter, prompt,
+                                            SpecConfig(draft_len=5, max_new_tokens=48))
+            assert out == generate(load_model(target_path), prompt, SamplerConfig(0.0), 48)
+        assert stats.cycles > 0 and tempered_while_verifying == []
+        rows = [*target._dist_cache.values(), target._uniform]
+        assert len(rows) > 10
+        assert [row for row in rows if row._tempered is not None] == []
+
+
+class TestTemperatureMemoBound:
+    def test_decoding_at_300_temperatures_keeps_the_bound(self, saved_pair):
+        target_path, drafter_path, prompts = saved_pair
+        target, drafter = load_model(target_path), load_model(drafter_path)
+        temperatures = [0.5 + i / 1000 for i in range(300)]
+        for i, temperature in enumerate(temperatures):
+            cfg = SpecConfig(draft_len=5, temperature=temperature, max_new_tokens=16, seed=i)
+            got = decode_speculative(target, drafter, prompts[i % len(prompts)], cfg)
+            if i % 50 == 49:  # decoding past evictions decodes like fresh models
+                fresh = decode_speculative(load_model(target_path), load_model(drafter_path),
+                                           prompts[i % len(prompts)], cfg)
+                assert got == fresh
+        assert 1 <= len(drafter._draft_rows) <= core._TEMPERATURES_KEPT
+        assert set(drafter._draft_rows) <= set(temperatures)
+        rows = [*target._dist_cache.values(), *drafter._dist_cache.values(),
+                target._uniform, drafter._uniform]
+        kept = [len(row._tempered) for row in rows if row._tempered is not None]
+        assert kept and max(kept) <= core._TEMPERATURES_KEPT
+
+    def test_a_schedule_within_the_bound_evicts_nothing(self, saved_pair):
+        target_path, drafter_path, prompts = saved_pair
+        target, drafter = load_model(target_path), load_model(drafter_path)
+        temperatures = (0.0, 0.3, 0.7, 1.0)  # distill's default schedule
+        for temperature in temperatures:
+            decode_speculative(target, drafter, prompts[0],
+                               SpecConfig(temperature=temperature, max_new_tokens=24))
+        tables = dict(drafter._draft_rows)
+        assert set(tables) == set(temperatures)
+        for temperature in temperatures:
+            decode_speculative(target, drafter, prompts[0],
+                               SpecConfig(temperature=temperature, max_new_tokens=24))
+        assert all(drafter._draft_rows[t] is tables[t] for t in temperatures)
 
 
 class TestReferenceDecoder:
