@@ -147,8 +147,8 @@ class ExperimentGrid:
 @dataclass(frozen=True)
 class EvalConfig:
     """Evaluation knobs of a scaling curve or one grid temperature. Every value
-    a decode would reject raises ValueError here, with the decoder's message;
-    max_prompts None decodes every prompt."""
+    a decode would reject raises ValueError here, with the decoder's message,
+    as does a repeated seed; max_prompts None decodes every prompt."""
 
     draft_len: int = 5
     temperature: float = 0.0
@@ -162,6 +162,8 @@ class EvalConfig:
         object.__setattr__(self, "seeds", tuple(self.seeds))
         if not self.seeds:
             raise ValueError("at least one seed is required")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError(f"seeds must not repeat, got {self.seeds!r}")
         SpecConfig(self.draft_len, self.temperature, self.max_new_tokens)
         if self.max_prompts is not None and self.max_prompts < 1:
             raise ValueError(f"max_prompts must be >= 1 (or unset for all), "
@@ -267,11 +269,15 @@ def grid_configs(draft_len: int, temperatures: Sequence[float], seeds: Sequence[
                  max_new_tokens: int = 64, cost: Optional[CostModel] = None,
                  max_prompts: Optional[int] = None) -> list[EvalConfig]:
     """The EvalConfig of each grid temperature, in order, which run_grid
-    decodes with. An invalid knob raises ValueError here, so a caller can
-    check the knobs before it reads any model or corpus."""
+    decodes with. An invalid knob, or a repeated seed or temperature, raises
+    ValueError here, so a caller can check the knobs before it reads any
+    model or corpus."""
     cost = cost if cost is not None else CostModel()
-    return [EvalConfig(draft_len, t, max_new_tokens, seeds, cost, max_prompts=max_prompts)
+    cfgs = [EvalConfig(draft_len, t, max_new_tokens, seeds, cost, max_prompts=max_prompts)
             for t in temperatures]
+    if len(set(temperatures)) < len(temperatures):
+        raise ValueError(f"temperatures must not repeat, got {tuple(temperatures)!r}")
+    return cfgs
 
 
 def run_grid(target: NGramModel, grid: ExperimentGrid, *, jobs: int = 1,

@@ -58,7 +58,8 @@ exit codes:
   4   malformed file (model, corpus, vocabulary, config, registry) or
       unsupported model format version
   5   vocabulary mismatch between models
-  6   invalid value (bad temperature, weight, budget, language tag, ...)
+  6   invalid value (bad temperature, weight, budget, language tag, ...) or
+      a path that is not a usable file or directory
   70  unexpected internal error
 """
 
@@ -421,6 +422,12 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: invalid: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except OSError as exc:
+        if exc.filename is not None:  # a path that is not a usable file or directory
+            print(f"error: invalid: {exc.filename}: {exc.strerror}", file=sys.stderr)
+            return EXIT_INVALID
+        print(f"error: internal: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
     except Exception as exc:  # pragma: no cover - safety net
         print(f"error: internal: {exc!r}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -362,15 +362,16 @@ class _Texts(dict):
         return text
 
 
-def _add_count_group(group: list[str], order: int, counts: dict,
-                     shared: dict, ids: dict, previous: tuple) -> Optional[tuple]:
-    """Check a group of count lines with array comparisons and add them to
-    counts; returns the last key, or None, with counts untouched, when any
-    line fails a check. Id ranges are left to NGramModel. previous is the
-    key before the group's first line. shared and ids map each count and id
+def _add_count_group(group: list[str], order: int, vocab_size: int, counts: dict,
+                     shared: dict, ids: dict, previous: tuple) -> tuple:
+    """Check a group of count lines with array comparisons, add them to
+    counts and return the last key. A failed check raises ModelFormatError
+    with its reason and leaves counts untouched; for a group of one line the
+    checks run in the order a line is read. previous is the key before the
+    group's first line. shared and ids map each count and in-range id
     spelling seen so far to its value."""
     if set(map(str.count, group, repeat(" "))) != {order}:
-        return None
+        raise ModelFormatError(f"expected {order + 1} fields")
     width = order + 1
     fields = " ".join(group).split(" ")
     spellings = fields[order::width]
@@ -379,15 +380,13 @@ def _add_count_group(group: list[str], order: int, counts: dict,
         new_ids = {raw: int(raw) for raw in set(fields).difference(ids)}
         new_counts = {raw: float(raw) for raw in set(spellings).difference(shared)}
     except ValueError:
-        return None
+        raise ModelFormatError("unparsable count entry") from None
+    if not all(0 <= i < vocab_size for i in new_ids.values()):
+        raise ModelFormatError("token id out of range")
     if not all(0.0 <= count < math.inf for count in new_counts.values()):
-        return None
+        raise ModelFormatError("count must be finite and >= 0")
     ids.update(new_ids)
-    try:
-        keys = np.fromiter(map(ids.__getitem__, fields), np.int64, len(fields))
-    except OverflowError:  # an id past int64, so out of any vocabulary's range
-        return None
-    keys = keys.reshape(-1, order)
+    keys = np.fromiter(map(ids.__getitem__, fields), np.int64, len(fields)).reshape(-1, order)
     rows = np.concatenate((np.array(previous, np.int64).reshape(-1, order), keys))
     later, earlier = rows[1:], rows[:-1]
     step = later != earlier
@@ -396,7 +395,7 @@ def _add_count_group(group: list[str], order: int, counts: dict,
     first = step.argmax(1)
     at = np.arange(len(first))
     if not (later[at, first] > earlier[at, first]).all():
-        return None
+        raise ModelFormatError("count lines must be strictly increasing")
     shared.update(new_counts)
     n1 = order - 1
     # The lines of one context are adjacent; only the first context of the
@@ -410,35 +409,6 @@ def _add_count_group(group: list[str], order: int, counts: dict,
         del contexts[0], sizes[0]
     counts.update(zip(contexts, map(dict, map(islice, repeat(pairs), sizes))))
     return tuple(keys[-1].tolist())
-
-
-def _count_lines(lines: list[str], start: int, order: int, vocab_size: int) -> dict:
-    """The counts of lines[start:], checked one line at a time. A file that
-    fails a check is read again this way, so that the error names its first
-    bad line."""
-    counts: dict[tuple[int, ...], dict[int, float]] = {}
-    shared: dict[str, float] = {}
-    previous: tuple[int, ...] = ()
-    for ln in range(start, len(lines)):
-        parts = lines[ln].split(" ")
-        if len(parts) != order + 1:
-            raise ModelFormatError(f"line {ln + 1}: expected {order + 1} fields")
-        try:
-            key = tuple(map(int, parts[:-1]))
-            count = float(parts[-1])
-        except ValueError:
-            raise ModelFormatError(f"line {ln + 1}: unparsable count entry") from None
-        if not all(0 <= i < vocab_size for i in key):
-            raise ModelFormatError(f"line {ln + 1}: token id out of range")
-        if not 0.0 <= count < math.inf:
-            raise ModelFormatError(f"line {ln + 1}: count must be finite and >= 0")
-        # save_model writes strictly increasing (ctx..., tok) keys, so this
-        # one comparison rejects both repeated and misordered lines.
-        if key <= previous:
-            raise ModelFormatError(f"line {ln + 1}: count lines must be strictly increasing")
-        previous = key
-        counts.setdefault(key[:-1], {})[key[-1]] = shared.setdefault(parts[-1], count)
-    return counts
 
 
 def _parse_model(lines: list[str]) -> NGramModel:
@@ -465,20 +435,20 @@ def _parse_model(lines: list[str]) -> NGramModel:
     # alike share one float object.
     shared: dict[str, float] = {}
     ids: dict[str, int] = {}
-    previous: Optional[tuple[int, ...]] = ()
+    previous: tuple[int, ...] = ()
     for lo in range(counts_start, len(lines), _GROUP_LINES):
-        previous = _add_count_group(lines[lo:lo + _GROUP_LINES], order, counts, shared, ids,
-                                    previous)
-        if previous is None:
-            break
-    else:
+        group = lines[lo:lo + _GROUP_LINES]
         try:
-            return NGramModel(order, k, vocab, counts, provenance)
-        except ValueError:
-            pass  # NGramModel checks the id ranges; the line is found below
-    # Read the count lines again one at a time, so that the error names the
-    # first bad line; an error NGramModel alone finds is raised again.
-    counts = _count_lines(lines, counts_start, order, vocab_size)
+            previous = _add_count_group(group, order, vocab_size, counts, shared, ids, previous)
+        except ModelFormatError:
+            # Check the group again one line at a time, so that the error
+            # names its first bad line.
+            for ln, line in enumerate(group, start=lo + 1):
+                try:
+                    previous = _add_count_group([line], order, vocab_size, counts, shared, ids,
+                                                previous)
+                except ModelFormatError as exc:
+                    raise ModelFormatError(f"line {ln}: {exc}") from None
     return NGramModel(order, k, vocab, counts, provenance)
 
 

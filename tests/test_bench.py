@@ -289,6 +289,22 @@ class TestRunGrid:
         with pytest.raises(ValueError):
             ExperimentGrid({}, {"x": Corpus((("a", "b"),))})
 
+    @pytest.mark.parametrize("axes, message", [
+        ({"seeds": (1, 1)}, "seeds must not repeat, got (1, 1)"),
+        ({"temperatures": (0.7, 0.7)}, "temperatures must not repeat, got (0.7, 0.7)"),
+        ({"temperatures": (0.0, -0.0)}, "temperatures must not repeat, got (0.0, -0.0)"),
+    ])
+    def test_repeated_axis_value_rejected_before_decoding(self, trained_pair, axes, message):
+        # A repeated seed would decode the same cells again and count as one
+        # more seed; a repeated temperature would write a second equal row.
+        target, _, d_de, _, eval_de, _ = trained_pair
+        grid = ExperimentGrid({"de": d_de}, {"de": eval_de},
+                              **{"temperatures": (0.7,), "seeds": (0, 1), **axes})
+        with counting_decodes() as calls, pytest.raises(ValueError) as exc:
+            run_grid(target, grid, max_new_tokens=8, max_prompts=3)
+        assert str(exc.value) == message
+        assert calls == []
+
 
 class TestScalingCurve:
     def test_point_per_budget(self, trained_pair):
@@ -324,6 +340,10 @@ class TestScalingCurve:
             cfg = EvalConfig(seeds=(0,), **knobs)
             scaling_curve(target, base, eval_de, [10, 20], eval_corpus, cfg)
         assert calls == [] and finetunes == []
+
+    def test_repeated_seed_rejected(self):
+        with pytest.raises(ValueError, match=r"seeds must not repeat, got \(2, 0, 2\)"):
+            EvalConfig(seeds=(2, 0, 2))
 
     def test_budget_zero_rejected(self, trained_pair):
         target, base, _, _, eval_de, _ = trained_pair

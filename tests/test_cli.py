@@ -277,6 +277,28 @@ class TestExitCodes:
         assert captured.err == "error: format: bad.bin: not valid UTF-8: byte 0xff at offset 6\n"
         assert not (ws / "bad.out").exists()
 
+    # One command per path flag, each given the directory a_dir.
+    DIRECTORY_PATHS = {
+        "model": ["train", "finetune", "--model", "a_dir", "--corpus", "de.tsv",
+                  "--out", "dir.out"],
+        "out": ["train", "finetune", "--model", "base.model", "--corpus", "de.tsv",
+                "--out", "a_dir"],
+        "registry": ["route", "--registry", "a_dir", "--text", "x"],
+        "config": ["decode", "--config", "a_dir", "--target", "target_de.model",
+                   "--drafter", "drafter_de.model", "--prompt", "x"],
+    }
+
+    @pytest.mark.parametrize("flag", DIRECTORY_PATHS)
+    def test_directory_given_for_a_file_is_6_and_names_its_path(self, ws, capsys, monkeypatch,
+                                                                 flag):
+        monkeypatch.chdir(ws)
+        (ws / "a_dir").mkdir(exist_ok=True)
+        assert main(self.DIRECTORY_PATHS[flag]) == 6
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: invalid: a_dir: Is a directory\n"
+        assert not (ws / "dir.out").exists()
+
 
 # Every value flag of every non-bench command, with two values that give
 # different outputs (the second may fail). A case runs with every flag at its
@@ -567,7 +589,10 @@ class TestBenchCommands:
         monkeypatch.chdir(ws)
         for knob, message in (("K = 0", "draft_len must be between 1 and 1024, got 0"),
                               ("max_new = 0", "max_new_tokens must be >= 1"),
-                              ("temps = 0.0,-1", "temperature must be finite and >= 0, got -1.0")):
+                              ("temps = 0.0,-1", "temperature must be finite and >= 0, got -1.0"),
+                              ("seeds = 1,1", "seeds must not repeat, got (1, 1)"),
+                              ("temps = 0.0,0.0",
+                               "temperatures must not repeat, got (0.0, 0.0)")):
             (ws / "grid_bad.cfg").write_text(f"[grid]\ntarget = bad.model\n{knob}\n",
                                              encoding="utf-8")
             code = main(["bench", "grid", "--config", "grid_bad.cfg", "--out-dir", "outGB"])
@@ -576,6 +601,16 @@ class TestBenchCommands:
         (ws / "grid_bad.cfg").write_text("[grid]\ntarget = bad.model\nK = 3\n", encoding="utf-8")
         assert main(["bench", "grid", "--config", "grid_bad.cfg", "--out-dir", "outGB"]) == 4
         assert not (ws / "outGB").exists()
+
+    def test_scaling_repeated_seed_is_6_before_any_file_is_read(self, ws, capsys, monkeypatch):
+        (ws / "bad.model").write_text("not a model\n", encoding="utf-8")
+        (ws / "scaling_rs.cfg").write_text(
+            "[scaling]\ntarget = bad.model\ndrafter = base.model\ncorpus = de.tsv\n"
+            "eval = eval_de.tsv\nbudgets = 100\nseeds = 3,1,3\n", encoding="utf-8")
+        monkeypatch.chdir(ws)
+        assert main(["bench", "scaling", "--config", "scaling_rs.cfg", "--out-dir", "scRS"]) == 6
+        assert capsys.readouterr().err == "error: invalid: seeds must not repeat, got (3, 1, 3)\n"
+        assert not (ws / "scRS").exists()
 
     def test_scaling_budgets_are_checked_before_any_file_is_read(self, ws, capsys, monkeypatch):
         (ws / "bad.model").write_text("not a model\n", encoding="utf-8")
@@ -612,6 +647,15 @@ class TestBenchCommands:
                        "--out-dir", "scU", cwd=ws)
         assert proc.returncode == 4, proc.stderr
         assert "'temps'" in proc.stderr
+
+    def test_grid_out_dir_that_is_a_file_is_6_and_names_its_path(self, ws, capsys,
+                                                                 monkeypatch):
+        self._grid_config(ws)
+        monkeypatch.chdir(ws)
+        (ws / "taken").write_text("a file\n", encoding="utf-8")
+        assert main(["bench", "grid", "--config", "grid.cfg", "--out-dir", "taken"]) == 6
+        assert capsys.readouterr().err == "error: invalid: taken: File exists\n"
+        assert (ws / "taken").read_text(encoding="utf-8") == "a file\n"
 
     def test_grid_requires_config(self, ws):
         assert run_cli("bench", "grid", "--out-dir", "x", cwd=ws).returncode == 2

@@ -518,8 +518,8 @@ class TestModelPersistence:
 
     @pytest.mark.parametrize("bad_id", ["45", "-1", "9" * 30])
     def test_out_of_range_id_on_a_late_line_names_the_line(self, tmp_path, bad_id):
-        # More count lines than one group, so only NGramModel sees the bad
-        # id, and the loader has to find its line.
+        # More count lines than one group, so the bad id is in a later group,
+        # and the loader has to find its line.
         vocab = build_vocab("".join(map(chr, range(0x400, 0x42A))))
         ids = range(len(RESERVED_TOKENS), vocab.size)
         path = tmp_path / "m.model"
@@ -598,6 +598,26 @@ class TestModelPersistence:
         path = self._saved_with_counts(tmp_path, lambda body: [body[1], body[0]] + body[2:])
         with pytest.raises(ModelFormatError):
             load_model(path)
+
+    @pytest.mark.parametrize("body, line, reason", [
+        (["0 3 1.0", "3 9 nan"], 2, "token id out of range"),
+        (["0 3 1.0", "3 x nan"], 2, "unparsable count entry"),
+        (["3 3 1.0", "0 3 nan"], 2, "count must be finite and >= 0"),
+        (["3 3 1.0", "0 9 1.0"], 2, "token id out of range"),
+        (["3 3 1.0", "0 3 1.0", "4 1 x"], 2, "count lines must be strictly increasing"),
+        (["0 3 1.0", "3 3", "3 4 x"], 2, "expected 3 fields"),
+        (["0 3 1.0", "3 3 1.0", "3 4 1.0", "4 1 -1.0"], 4, "count must be finite and >= 0"),
+    ])
+    def test_first_bad_line_fails_its_first_check(self, tmp_path, body, line, reason):
+        # In most of these files a later line fails an earlier check than the
+        # first bad line does, so a group check alone would name the wrong
+        # line or reason.
+        path = self._saved_with_counts(tmp_path, lambda _: body)
+        expected = (ModelFormatError, f"{path}: line {11 + line}: {reason}")
+        assert outcome(reference_load, path) == expected
+        for group in (1, 2, 3, lm._GROUP_LINES):
+            with mock.patch.object(lm, "_GROUP_LINES", group):
+                assert outcome(load_model, path) == expected, group
 
     def test_order_above_the_maximum_is_malformed(self, tmp_path):
         path = self._saved_with_counts(tmp_path, lambda body: [])
@@ -780,7 +800,8 @@ class TestGroupedModelFiles:
 
 # Spellings a fuzzed field takes: some parse as ints or floats that save_model
 # never writes, some do not parse, some are out of range or not finite.
-FUZZ_SPELLINGS = ["x", "+3", "03", "1_0", "٣", "nan", "-0.0", "1e400", "inf", "99"]
+FUZZ_SPELLINGS = ["x", "+3", "03", "1_0", "٣", "nan", "-0.0", "1e400", "inf", "99",
+                  "-1", "1" * 20]
 FUZZ_EDITS = ["field", "count", "drop", "duplicate", "swap", "add", "remove"]
 
 
