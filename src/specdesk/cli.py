@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from pathlib import Path
 
 from ._version import __version__
 from .core import (FormatError, build_vocab, decode_tokens, encode, load_vocab, read_sections,
@@ -59,7 +60,8 @@ exit codes:
       unsupported model format version
   5   vocabulary mismatch between models
   6   invalid value (bad temperature, weight, budget, language tag, ...) or
-      a path that is not a usable file or directory
+      a path that is not a usable file or directory; an unusable --out or
+      --out-dir exits 6 before any input is read
   70  unexpected internal error
 """
 
@@ -104,6 +106,26 @@ def _apply_config(args) -> None:
             raise UsageError(f"missing required option {action.option_strings[0]}")
         else:
             setattr(args, dest, args.flag_defaults.get(dest))
+
+
+def _check_outputs(args) -> None:
+    """Raise ValueError, naming the path, for an --out that is a directory or
+    whose directory does not exist, and for an --out-dir that is a file or
+    lies under one; run before any input is read, so such a path exits 6
+    without doing work. Paths are read as the writers read them, as a Path."""
+    out, out_dir = getattr(args, "out", None), getattr(args, "out_dir", None)
+    if out is not None:
+        path = Path(out)
+        if path.is_dir():
+            raise ValueError(f"{out}: Is a directory")
+        if not path.parent.is_dir():
+            raise ValueError(f"{out}: {path.parent} is not a directory")
+    if out_dir is not None:
+        path = Path(out_dir)
+        if path.exists() and not path.is_dir():
+            raise ValueError(f"{out_dir}: File exists")
+        if not all(p.is_dir() for p in path.parents if p.exists()):
+            raise ValueError(f"{out_dir}: Not a directory")
 
 
 def _naming(name: str, parse):
@@ -403,6 +425,7 @@ def main(argv=None) -> int:
     try:
         if "command_path" in args:  # bench commands read their own sections
             _apply_config(args)
+        _check_outputs(args)
         return args.handler(args)
     except UsageError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)

@@ -132,6 +132,9 @@ class NGramModel:
         if outside:
             raise ValueError(f"count ids outside the vocabulary [0, {vocab.size}): "
                              f"{sorted(outside, key=repr)}")
+        if not all(0.0 <= count < math.inf
+                   for per_tok in counts.values() for count in per_tok.values()):
+            raise ValueError("every count must be finite and >= 0")
         self.order = int(order)
         self.k = float(k)
         self.vocab = vocab
@@ -276,10 +279,10 @@ def finetune(model: NGramModel, corpus: Corpus, weight: float = 1.0) -> NGramMod
     """
     if not 0.0 < weight < math.inf:
         raise ValueError(f"finetune weight must be finite and > 0, got {weight!r}")
-    copied = {ctx: dict(per_tok) for ctx, per_tok in model.counts.items()}
     tag = f"{corpus.langs[0]}-{corpus.langs[1]}" if corpus.langs else "untagged"
-    tuned = NGramModel(model.order, model.k, model.vocab, copied,
+    tuned = NGramModel(model.order, model.k, model.vocab, {},
                        provenance=f"{model.provenance};finetuned:{tag}")
+    tuned.counts.update({ctx: dict(per_tok) for ctx, per_tok in model.counts.items()})
     _accumulate(tuned, corpus, weight)
     return tuned
 
@@ -362,14 +365,15 @@ class _Texts(dict):
         return text
 
 
-def _add_count_group(group: list[str], order: int, vocab_size: int, counts: dict,
-                     shared: dict, ids: dict, previous: tuple) -> tuple:
-    """Check a group of count lines with array comparisons, add them to
-    counts and return the last key. A failed check raises ModelFormatError
-    with its reason and leaves counts untouched; for a group of one line the
-    checks run in the order a line is read. previous is the key before the
-    group's first line. shared and ids map each count and in-range id
-    spelling seen so far to its value."""
+def _add_count_group(group: list[str], model: NGramModel, shared: dict, ids: dict,
+                     previous: tuple) -> tuple:
+    """Check a group of count lines with array comparisons, add them to the
+    unpublished model's counts and return the last key. A failed check raises
+    ModelFormatError with its reason and leaves the counts untouched; for a
+    group of one line the checks run in the order a line is read. previous is
+    the key before the group's first line. shared and ids map each count and
+    in-range id spelling seen so far to its value."""
+    order, counts = model.order, model.counts
     if set(map(str.count, group, repeat(" "))) != {order}:
         raise ModelFormatError(f"expected {order + 1} fields")
     width = order + 1
@@ -381,7 +385,7 @@ def _add_count_group(group: list[str], order: int, vocab_size: int, counts: dict
         new_counts = {raw: float(raw) for raw in set(spellings).difference(shared)}
     except ValueError:
         raise ModelFormatError("unparsable count entry") from None
-    if not all(0 <= i < vocab_size for i in new_ids.values()):
+    if not all(0 <= i < model.vocab.size for i in new_ids.values()):
         raise ModelFormatError("token id out of range")
     if not all(0.0 <= count < math.inf for count in new_counts.values()):
         raise ModelFormatError("count must be finite and >= 0")
@@ -424,13 +428,14 @@ def _parse_model(lines: list[str]) -> NGramModel:
     vocab_end = 5 + vocab_size
     if not 5 <= vocab_end <= len(lines):
         raise ModelFormatError("truncated vocabulary block")
-    vocab = parse_vocab_lines(lines[5:vocab_end])
+    # Built before any count line is read, so its order and k are checked
+    # first; the count lines are checked as they are added.
+    model = NGramModel(order, k, parse_vocab_lines(lines[5:vocab_end]), {}, provenance)
     n_counts = _header_value(lines, vocab_end, "counts", int)
     counts_start = vocab_end + 1
     if counts_start + n_counts != len(lines):
         raise ModelFormatError(
             f"counts={n_counts} but {len(lines) - counts_start} count lines follow")
-    counts: dict[tuple[int, ...], dict[int, float]] = {}
     # Most counts are a few small whole numbers, so lines that spell a count
     # alike share one float object.
     shared: dict[str, float] = {}
@@ -439,17 +444,16 @@ def _parse_model(lines: list[str]) -> NGramModel:
     for lo in range(counts_start, len(lines), _GROUP_LINES):
         group = lines[lo:lo + _GROUP_LINES]
         try:
-            previous = _add_count_group(group, order, vocab_size, counts, shared, ids, previous)
+            previous = _add_count_group(group, model, shared, ids, previous)
         except ModelFormatError:
             # Check the group again one line at a time, so that the error
             # names its first bad line.
             for ln, line in enumerate(group, start=lo + 1):
                 try:
-                    previous = _add_count_group([line], order, vocab_size, counts, shared, ids,
-                                                previous)
+                    previous = _add_count_group([line], model, shared, ids, previous)
                 except ModelFormatError as exc:
                     raise ModelFormatError(f"line {ln}: {exc}") from None
-    return NGramModel(order, k, vocab, counts, provenance)
+    return model
 
 
 def load_model(path) -> NGramModel:

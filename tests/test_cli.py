@@ -1,14 +1,20 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import specdesk
 from specdesk import load_corpus, load_model, save_corpus, save_model, specdec
-from specdesk.cli import build_parser, main
+from specdesk.cli import EXIT_INTERNAL, build_parser, main
+from specdesk.core import build_vocab, vocab_lines
 
 import synth
 
@@ -298,6 +304,43 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "error: invalid: a_dir: Is a directory\n"
         assert not (ws / "dir.out").exists()
+
+    # One case per command with an output path, each given an unusable one
+    # and inputs that are missing or malformed, with the message it must give.
+    UNUSABLE_OUTPUTS = {
+        "vocab-no-dir": (["vocab", "build", "--corpus", "absent.tsv", "--out", "nodir/x.vocab"],
+                         "nodir/x.vocab: nodir is not a directory"),
+        "pretrain-no-dir": (["train", "pretrain", "--corpus", "absent.tsv",
+                             "--out", "nodir/x.model"], "nodir/x.model: nodir is not a directory"),
+        "finetune-no-dir": (["train", "finetune", "--model", "absent.model", "--corpus", "de.tsv",
+                             "--out", "nodir/x.model"], "nodir/x.model: nodir is not a directory"),
+        "finetune-out-dir": (["train", "finetune", "--model", "broken.model",
+                              "--corpus", "de.tsv", "--out", "a_dir"], "a_dir: Is a directory"),
+        "distill-under-a-file": (["distill", "--target", "broken.model", "--prompts", "de.tsv",
+                                  "--out", "taken/x.tsv"], "taken/x.tsv: taken is not a directory"),
+        "grid-out-dir-file": (["bench", "grid", "--config", "absent.cfg", "--out-dir", "taken"],
+                              "taken: File exists"),
+        "scaling-out-dir-file": (["bench", "scaling", "--config", "absent.cfg",
+                                  "--out-dir", "taken"], "taken: File exists"),
+        "grid-out-dir-under-a-file": (["bench", "grid", "--config", "absent.cfg",
+                                       "--out-dir", "taken/sub"], "taken/sub: Not a directory"),
+    }
+
+    @pytest.mark.parametrize("case", UNUSABLE_OUTPUTS)
+    def test_unusable_output_path_is_6_before_any_input_is_read(self, ws, capsys, monkeypatch,
+                                                                case):
+        monkeypatch.chdir(ws)
+        (ws / "a_dir").mkdir(exist_ok=True)
+        (ws / "taken").write_text("a file\n", encoding="utf-8")
+        (ws / "broken.model").write_text("not a model\n", encoding="utf-8")
+        argv, message = self.UNUSABLE_OUTPUTS[case]
+        assert main(argv) == 6
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: invalid: {message}\n"
+        assert not (ws / "nodir").exists()
+        assert (ws / "taken").read_text(encoding="utf-8") == "a file\n"
+        assert list((ws / "a_dir").iterdir()) == []
 
 
 # Every value flag of every non-bench command, with two values that give
@@ -739,3 +782,117 @@ class TestVersionFlag:
         proc = run_cli("--version")
         assert proc.returncode == 0
         assert proc.stdout.startswith("specdesk ")
+
+
+# The exit codes `specdesk --help` lists, read from its epilog.
+DOCUMENTED_EXITS = {int(code) for code in
+                    re.findall(r"^  (\d+) ", build_parser().format_help(), re.MULTILINE)}
+
+
+def edited(base: bytes, edits) -> bytes:
+    """base with each (at, cut, insert) edit applied in turn: cut bytes
+    from position at (modulo the length) are replaced by insert."""
+    data = bytearray(base)
+    for at, cut, insert in edits:
+        at %= len(data) + 1
+        data[at:at + cut] = insert
+    return bytes(data)
+
+
+def edit_lists(inserts):
+    """One to four edits for edited, each inserting one of inserts."""
+    return st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 3),
+                              st.sampled_from(inserts)),
+                    min_size=1, max_size=4)
+
+
+def assert_documented_exit(argv):
+    """cli.main on argv exits with a documented code other than the internal
+    error's, and prints no traceback."""
+    stderr = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in DOCUMENTED_EXITS and code != EXIT_INTERNAL, stderr.getvalue()
+    assert "Traceback" not in stderr.getvalue()
+
+
+# Bytes that end a line, start a comment or split a key from its value,
+# bytes that are not UTF-8 (a stray byte, an encoded lone surrogate), a BOM
+# and nothing.
+COMMON_FUZZ_BYTES = [b"\n", b"\r", b" ", b"=", b"#", b"\xff", b"\xed\xa0\x80",
+                     "\ufeff".encode("utf-8"), b""]
+CONFIG_FUZZ_BYTES = COMMON_FUZZ_BYTES + [b"[", b"]", b"[decode]", b" = ", b",", b"K", b"T",
+                                         b"stats", b"nan", b"-1", b"1e400", b"0", b"9"]
+REGISTRY_FUZZ_BYTES = COMMON_FUZZ_BYTES + [b"[", b"]", b" = ", b"hint.", b"default", b"fe",
+                                           b"ru", b"-", "ß".encode("utf-8")]
+
+
+# Lines a fuzzed vocabulary file gains or has replaced: the three escapes,
+# a lone backslash and an escape the format lacks, reserved and new tokens,
+# two characters, none, and bytes that are not UTF-8.
+VOCAB_FUZZ_LINES = [b"c", b"\\n", b"\\r", b"\\\\", b"\\", b"\\t", b"", b"ab", b"a", b"<bos>",
+                    b"<unk>", "ж".encode("utf-8"), "\U0001F600".encode("utf-8"),
+                    "\ufeff".encode("utf-8"), b"\r", b"\xff", b"\xed\xa0\x80"]
+
+
+class TestVocabFileFuzz:
+    """Mutated vocabulary files train through `train pretrain --vocab`, or
+    exit with a documented code; never with an internal error or a
+    traceback."""
+
+    BASE = [line.encode("utf-8") for line in vocab_lines(build_vocab("ab\n"))]
+
+    @settings(max_examples=200)
+    @given(edits=st.lists(st.tuples(st.sampled_from(["insert", "replace", "delete"]),
+                                    st.integers(0, 10 ** 6), st.sampled_from(VOCAB_FUZZ_LINES)),
+                          min_size=1, max_size=3),
+           crlf=st.sampled_from([False, False, False, True]))
+    def test_mutated_files_exit_with_a_documented_code(self, ws, edits, crlf):
+        lines = list(self.BASE)
+        for op, at, line in edits:
+            if op == "insert":
+                lines.insert(at % (len(lines) + 1), line)
+            elif lines:
+                lines[at % len(lines):at % len(lines) + 1] = [line] if op == "replace" else []
+        with tempfile.TemporaryDirectory() as tmp:
+            vocab, out = Path(tmp) / "v.vocab", Path(tmp) / "o.model"
+            vocab.write_bytes(b"".join(line + (b"\r\n" if crlf else b"\n") for line in lines))
+            assert_documented_exit(["train", "pretrain", "--corpus", str(ws / "de.tsv"),
+                                    "--vocab", str(vocab), "--out", str(out)])
+
+
+class TestConfigFileFuzz:
+    """Mutated config files decode through `decode --config`, or exit with a
+    documented code; never with an internal error or a traceback."""
+
+    @settings(max_examples=200)
+    @given(edits=edit_lists(CONFIG_FUZZ_BYTES))
+    def test_mutated_files_exit_with_a_documented_code(self, ws, edits):
+        base = (f"# a decode config\n[decode]\ntarget = {ws / 'target_de.model'}\n"
+                f"drafter = {ws / 'drafter_de.model'}\nT = 0.7\nK = 3\nmax_new = 8\n"
+                f"seed = 1\n[route]\ntext = x\n").encode("utf-8")
+        with tempfile.TemporaryDirectory() as tmp:
+            config = Path(tmp) / "d.cfg"
+            config.write_bytes(edited(base, edits))
+            # The prompt is a flag, so no config can make decode read stdin.
+            assert_documented_exit(["decode", "--config", str(config),
+                                    "--prompt", "Translate German to English: haus"])
+
+
+class TestRegistryFileFuzz:
+    """Mutated registry files route through `route --registry`, or exit with
+    a documented code; never with an internal error or a traceback."""
+
+    BASE = ("# drafters\ndefault = de-en\nde-en = de.model\nru-en = ru.model\n"
+            "hint.de = ß\n").encode("utf-8")
+
+    @settings(max_examples=200)
+    @given(edits=edit_lists(REGISTRY_FUZZ_BYTES),
+           text=st.sampled_from(["Größe der Straße", "Привет мир", "Bonjour", "", "123"]))
+    def test_mutated_files_exit_with_a_documented_code(self, edits, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            registry = Path(tmp) / "r.cfg"
+            registry.write_bytes(edited(self.BASE, edits))
+            for name in ("de.model", "ru.model"):  # route checks only that they exist
+                (Path(tmp) / name).write_text("", encoding="utf-8")
+            assert_documented_exit(["route", "--registry", str(registry), "--text", text])

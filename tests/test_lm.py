@@ -115,7 +115,8 @@ class TestPretrainCounting:
 
     @pytest.mark.parametrize("counts", [
         {(0,): {99: 1.0, -1: 2.0}}, {(0,): {-1: 2.0}}, {(5,): {0: 1.0}},
-        {(0, 0): {1: 1.0}}, {(): {1: 1.0}}])
+        {(0, 0): {1: 1.0}}, {(): {1: 1.0}},
+        {(0,): {1: -5.0}}, {(0,): {1: math.nan}}, {(0,): {1: 1.0, 3: math.inf}}])
     def test_count_key_outside_the_vocabulary_or_order_rejected(self, counts):
         with pytest.raises(ValueError):
             NGramModel(2, 0.5, build_vocab("ab"), counts)
@@ -626,6 +627,18 @@ class TestModelPersistence:
         path.write_text(content, encoding="utf-8")
         with pytest.raises(ModelFormatError, match="order must be between 1 and"):
             load_model(path)
+
+    @pytest.mark.parametrize("order", [0, lm.MAX_ORDER + 1])
+    def test_order_out_of_bounds_is_4_before_any_count_line(self, tmp_path, capsys, order):
+        # The one count line has the fields this order asks for, so only the
+        # order check can reject the file.
+        path = self._saved_with_counts(tmp_path, lambda body: [" ".join(["0"] * order + ["0.5"])])
+        content = path.read_text(encoding="utf-8").replace("\norder=2\n", f"\norder={order}\n", 1)
+        path.write_text(content, encoding="utf-8")
+        assert cli.main(["decode", "--target", str(path), "--drafter", str(path),
+                         "--prompt", "a"]) == 4
+        assert capsys.readouterr().err == (
+            f"error: format: {path}: order must be between 1 and {lm.MAX_ORDER}, got {order}\n")
 
     def test_future_version_reported_before_other_header_errors(self, tmp_path):
         path = tmp_path / "m.model"
