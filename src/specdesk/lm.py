@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import struct
-from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from typing import Iterator, Optional
@@ -49,9 +48,11 @@ MAX_ORDER = 64
 # generation, and models never change after training.
 _DIST_CACHE_LIMIT = 200_000
 
-# Training encodes and tallies records in groups of about this many
-# characters, so each group's arrays and key list stay small.
-_CHUNK_CHARS = 4096
+# Training encodes, packs and sorts records in groups of about this many
+# characters. Only a group's distinct windows reach the Python tally, so
+# larger groups tally fewer repeats, but the group's arrays, some tens of
+# bytes per character, grow with it.
+_CHUNK_CHARS = 65536
 
 # Below this, adding a whole number n to a whole-number float count is exact,
 # and so equals n steps of += 1.0.
@@ -60,6 +61,21 @@ _EXACT_INT = 2 ** 53
 # Model files are read in groups of this many count lines, so each group's
 # fields and arrays stay small.
 _GROUP_LINES = 1024
+
+
+def _total_is_finite(k_total: float, per_tok: dict) -> bool:
+    """Whether k_total = k * |V| plus the fsum of a context's counts, the
+    denominator next_dist divides by, is finite. Within a hair of the largest
+    float, fsum can overflow for one order of the counts and not for another,
+    so a total that large is also checked in the token order load_model reads
+    them in."""
+    try:
+        total = k_total + math.fsum(per_tok.values())
+        if total >= 2.0 ** 1023:
+            total = k_total + math.fsum(map(per_tok.__getitem__, sorted(per_tok)))
+    except OverflowError:  # the counts alone sum past the largest float
+        return False
+    return total < math.inf
 
 
 class ModelFormatError(FormatError):
@@ -135,6 +151,9 @@ class NGramModel:
         if not all(0.0 <= count < math.inf
                    for per_tok in counts.values() for count in per_tok.values()):
             raise ValueError("every count must be finite and >= 0")
+        if not all(map(_total_is_finite, repeat(k * vocab.size), counts.values())):
+            raise ValueError("a context's counts plus k per vocabulary id sum past the "
+                             "largest float")
         self.order = int(order)
         self.k = float(k)
         self.vocab = vocab
@@ -212,6 +231,13 @@ def _record_groups(corpus: Corpus) -> Iterator[list[str]]:
         yield group
 
 
+def _dense_rank(codes: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each code's rank among the distinct codes, which sorts like the code,
+    and the number of bits the ranks take."""
+    distinct, rank = np.unique(codes, return_inverse=True)
+    return rank.astype(np.uint64), (len(distinct) - 1).bit_length()
+
+
 def _accumulate(model: NGramModel, corpus: Corpus, weight: float) -> None:
     """Add weight for every (context, token) window of each record's
     <bos>-padded, <eos>-terminated stream to model.counts, as if one
@@ -222,11 +248,12 @@ def _accumulate(model: NGramModel, corpus: Corpus, weight: float) -> None:
             raise ValueError(f"training record {i} has an empty completion")
     order = model.order
     n1 = order - 1
-    # A window's key is its raw bytes. The Counter keeps keys in first-seen
+    bits = (model.vocab.size - 1).bit_length()
+    # A window's key is its raw bytes. The tally keeps keys in first-seen
     # order, which is the order a window-by-window pass inserts contexts and,
     # within each, tokens.
     window_key = np.dtype((np.void, 4 * order))
-    tally: Counter = Counter()
+    tally: dict[bytes, int] = {}
     for texts in _record_groups(corpus):
         ids = encode_array("".join(texts), model.vocab)
         lengths = np.fromiter(map(len, texts), np.int64, len(texts))
@@ -236,11 +263,38 @@ def _accumulate(model: NGramModel, corpus: Corpus, weight: float) -> None:
         stream[np.arange(len(ids)) + np.repeat(np.arange(n1, order * len(texts), order),
                                                lengths)] = ids
         stream[np.cumsum(lengths + order) - 1] = EOS_ID
+        # Window i is stream[i:i + order]. Its code packs its ids, bits
+        # apiece, then i in the low pos_bits, so codes sort like windows, and
+        # equal windows by position. A code with no room for the next field
+        # is replaced by its dense rank, which sorts alike in fewer bits.
+        n = len(stream) - n1
+        pos_bits = (n - 1).bit_length()
+        code, used = np.zeros(n, np.uint64), 0
+        for j in range(order + 1):
+            width = bits if j < order else pos_bits
+            if used + width > 64:
+                code, used = _dense_rank(code)
+            code <<= width
+            code |= stream[j:j + n] if j < order else np.arange(n, dtype=np.uint64)
+            used += width
         # <bos> is no one-character token, so encoded text never holds it and
         # the windows that end on <bos> are exactly those that end on padding.
-        windows = sliding_window_view(stream, order)[stream[n1:] != BOS_ID]
-        tally.update(windows.view(window_key).ravel().tolist())
+        # Sorted, equal windows sit together, each run led by its first occurrence.
+        code = code[stream[n1:] != BOS_ID]
+        code.sort()
+        window = code >> pos_bits
+        starts = np.flatnonzero(np.r_[True, window[1:] != window[:-1]])
+        sizes = np.diff(starts, append=len(code))
+        first = (code[starts] & np.uint64((1 << pos_bits) - 1)).astype(np.intp)
+        seen = np.argsort(first)  # the group's distinct windows, first seen first
+        keys = sliding_window_view(stream, order)[first[seen]].view(window_key).ravel()
+        for key, size in zip(keys.tolist(), sizes[seen].tolist()):
+            tally[key] = tally.get(key, 0) + size
     counts = model.counts
+    # At weight 1 an empty model gets whole counts, at most one per window, so
+    # its totals stay far below the largest float. Any other call checks each
+    # context it touched, as a model's own counts may hold a total near it.
+    checked = weight != 1.0 or bool(counts)
     for window, n in zip(map(struct.Struct(f"<{order}I").unpack, tally), tally.values()):
         ctx, tok = window[:-1], window[-1]
         per_tok = counts.get(ctx)
@@ -253,6 +307,13 @@ def _accumulate(model: NGramModel, corpus: Corpus, weight: float) -> None:
             for _ in range(n):
                 count += weight
         per_tok[tok] = count
+    if checked:
+        k_total = model.k * model.vocab.size
+        contexts = dict.fromkeys(key[:4 * n1] for key in tally)
+        for ctx in map(struct.Struct(f"<{n1}I").unpack, contexts):
+            if not _total_is_finite(k_total, counts[ctx]):
+                raise ValueError(f"context {ctx}'s counts plus k per vocabulary id sum past "
+                                 f"the largest float")
 
 
 def pretrain(corpus: Corpus, order: int, k: float = 0.5,
@@ -453,6 +514,19 @@ def _parse_model(lines: list[str]) -> NGramModel:
                     previous = _add_count_group([line], model, shared, ids, previous)
                 except ModelFormatError as exc:
                     raise ModelFormatError(f"line {ln}: {exc}") from None
+    # A context holds at most |V| counts, so unless the largest count is near
+    # the largest float over |V|, no context's total can pass it.
+    k_total = model.k * model.vocab.size
+    if (model.k + max(shared.values(), default=0.0)) * model.vocab.size * 2 == math.inf:
+        ln = counts_start
+        for per_tok in model.counts.values():
+            if not _total_is_finite(k_total, per_tok):
+                # Name the line whose count takes the total past it.
+                ln += next(j for j in range(1, len(per_tok) + 1)
+                           if not _total_is_finite(k_total, dict(islice(per_tok.items(), j))))
+                raise ModelFormatError(f"line {ln}: its context's counts plus k per vocabulary "
+                                       f"id sum past the largest float")
+            ln += len(per_tok)
     return model
 
 

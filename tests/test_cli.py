@@ -186,6 +186,15 @@ class TestExitCodes:
         assert proc.returncode == 6, proc.stderr
         assert proc.stderr.startswith("error: invalid: draft_len")
 
+    def test_finetune_weight_past_the_largest_float_is_6_and_writes_nothing(self, ws, capsys):
+        out = ws / "overflowed.model"
+        assert main(["train", "finetune", "--model", str(ws / "base.model"),
+                     "--corpus", str(ws / "de.tsv"), "--weight", "1e306",
+                     "--out", str(out)]) == 6
+        assert not out.exists()
+        assert re.fullmatch(r"error: invalid: context \(\d+,\)'s counts plus k per vocabulary "
+                            r"id sum past the largest float\n", capsys.readouterr().err)
+
     def test_version_mismatch_is_4_with_distinct_kind(self, ws):
         content = (ws / "target_de.model").read_text(encoding="utf-8")
         (ws / "future.model").write_text(content.replace("version=1", "version=9", 1),

@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import math
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -116,10 +117,32 @@ class TestPretrainCounting:
     @pytest.mark.parametrize("counts", [
         {(0,): {99: 1.0, -1: 2.0}}, {(0,): {-1: 2.0}}, {(5,): {0: 1.0}},
         {(0, 0): {1: 1.0}}, {(): {1: 1.0}},
-        {(0,): {1: -5.0}}, {(0,): {1: math.nan}}, {(0,): {1: 1.0, 3: math.inf}}])
+        {(0,): {1: -5.0}}, {(0,): {1: math.nan}}, {(0,): {1: 1.0, 3: math.inf}},
+        {(0,): {3: 1e308, 4: 1e308}}])
     def test_count_key_outside_the_vocabulary_or_order_rejected(self, counts):
         with pytest.raises(ValueError):
             NGramModel(2, 0.5, build_vocab("ab"), counts)
+
+    def test_context_total_past_the_largest_float_rejected(self):
+        # next_dist divides by k * |V| plus the context's counts, so that sum
+        # must be finite; the largest float itself is a count it may hold.
+        vocab, top = build_vocab("ab"), sys.float_info.max
+        assert NGramModel(2, 0.5, vocab, {(0,): {3: top, 4: 1.0}}).next_dist([0]).p(3) == 1.0
+        for k, counts in ((0.5, {3: top, 4: top}), (1e300, {3: top})):
+            with pytest.raises(ValueError, match="sum past the largest float$"):
+                NGramModel(2, k, vocab, {(0,): {}, (1,): counts})
+
+    def test_context_total_is_checked_in_the_order_a_reload_reads(self):
+        # Within a hair of the largest float, fsum overflows for some orders
+        # of the same counts. These pass in the order given but not in the
+        # token order a saved copy loads them in.
+        x, y, z = map(float.fromhex, ("0x1.06c87176e46b2p+1023", "0x1.f26f1d123729ap+1022",
+                                      "0x1.fffffbcb251d9p+969"))
+        assert math.fsum([x, y, z]) < math.inf
+        with pytest.raises(OverflowError):
+            math.fsum([x, z, y])
+        with pytest.raises(ValueError, match="sum past the largest float$"):
+            NGramModel(2, 0.5, build_vocab("abc"), {(0,): {3: x, 5: y, 4: z}})
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
@@ -263,6 +286,15 @@ class TestFinetune:
         tuned = finetune(aab_model(), Corpus((("", "ab"),), langs=("de", "en")))
         assert tuned.provenance == "pretrained;finetuned:de-en"
 
+    def test_weight_that_takes_a_total_past_the_largest_float_rejected(self):
+        m = aab_model()
+        before = {ctx: dict(d) for ctx, d in m.counts.items()}
+        with pytest.raises(ValueError, match=r"^context \(3,\)'s counts plus k per vocabulary "
+                                             r"id sum past the largest float$"):
+            finetune(m, Corpus((("", "a" * 400),)), weight=1e306)
+        assert m.counts == before
+        assert finetune(m, Corpus((("", "a" * 100),)), weight=1e306).next_dist([3]).p(3) > 0.99
+
 
 def reference_add_stream(counts, order, ids, weight):
     """The token-by-token counting loop pretrain and finetune once ran: one
@@ -301,12 +333,31 @@ def assert_same_model(bulk, reference):
     assert model_bytes(bulk) == model_bytes(reference)
 
 
+def assert_trains_like_reference(corpus, order, vocab, tunes):
+    """pretrain on corpus, then each (corpus, weight) finetune of tunes in
+    turn, give the token-by-token reference's models."""
+    bulk = pretrain(corpus, order, k=0.5, vocab=vocab)
+    reference = reference_train(NGramModel(order, 0.5, vocab), corpus, 1.0, bulk.provenance)
+    assert_same_model(bulk, reference)
+    for tune, weight in tunes:
+        bulk = finetune(bulk, tune, weight)
+        reference = reference_train(reference, tune, weight, bulk.provenance)
+        assert_same_model(bulk, reference)
+
+
 # Characters outside the vocabulary, a non-BMP character, lone surrogates and
 # the characters of literal <bos> text.
 BULK_CHARS = ["a", "b", "c", "ж", "<", "o", "s", ">", chr(0x1F600), chr(0xD83D), chr(0xDE00),
               chr(0xDFFF), "z"]
 bulk_text = st.lists(st.sampled_from(BULK_CHARS + ["<bos>", "<eos>"]), max_size=10).map("".join)
 bulk_record = st.tuples(bulk_text, bulk_text.filter(bool))
+
+# A vocabulary of 5,005 ids takes 13 bits an id, so the ids of a window of
+# order 5 or more do not fit one 64-bit code.
+WIDE_CHARS = ["a", "b", "z", "\u4e00", "\u4e01", chr(0x4E00 + 4_999), "<bos>"]
+wide_text = st.lists(st.sampled_from(WIDE_CHARS), max_size=10).map("".join)
+wide_record = st.tuples(wide_text, wide_text.filter(bool))
+WIDE_VOCAB = build_vocab(["ab" + "".join(map(chr, range(0x4E00, 0x4E00 + 5_000)))])
 
 
 class TestBulkCounting:
@@ -330,16 +381,54 @@ class TestBulkCounting:
             text = prompt + completion
             assert encode_array(text, vocab).tolist() == encode(text, vocab)
         with mock.patch.object(lm, "_CHUNK_CHARS", chunk):
-            bulk = pretrain(corpus, order, k=0.5, vocab=vocab)
-            reference = reference_train(NGramModel(order, 0.5, vocab), corpus, 1.0,
-                                        bulk.provenance)
-            assert_same_model(bulk, reference)
-            for tune_records, weight in tunes:
-                tune = Corpus(tuple(tune_records) * repeat)
-                for w in (weight, 0.7):
-                    bulk = finetune(bulk, tune, w)
-                    reference = reference_train(reference, tune, w, bulk.provenance)
-                    assert_same_model(bulk, reference)
+            assert_trains_like_reference(corpus, order, vocab, [
+                (Corpus(tuple(tune_records) * repeat), w)
+                for tune_records, weight in tunes for w in (weight, 0.7)])
+
+    @settings(max_examples=40)
+    @given(order=st.integers(1, lm.MAX_ORDER),
+           wide=st.booleans(),
+           records=st.lists(wide_record, min_size=1, max_size=6),
+           tunes=st.lists(st.tuples(st.lists(wide_record, max_size=4),
+                                    st.sampled_from([1.0, 0.3, 2.7])),
+                          max_size=2),
+           repeat=st.sampled_from([1, 9]),
+           chunk=st.sampled_from([lm._CHUNK_CHARS, 1, 7]))
+    def test_codes_past_64_bits_equal_the_reference(self, order, wide, records, tunes,
+                                                    repeat, chunk):
+        # Windows whose ids and position do not fit a 64-bit code are
+        # counted by the dense rank of their leading ids.
+        vocab = WIDE_VOCAB if wide else build_vocab("abz")
+        with mock.patch.object(lm, "_CHUNK_CHARS", chunk), \
+                mock.patch.object(lm, "_dense_rank", wraps=lm._dense_rank) as rank:
+            assert_trains_like_reference(Corpus(tuple(records) * repeat), order, vocab, [
+                (Corpus(tuple(tune_records) * repeat), weight)
+                for tune_records, weight in tunes])
+        assert rank.called or order * (vocab.size - 1).bit_length() <= 64
+
+    def test_dense_rank_sorts_like_the_codes_in_as_few_bits_as_it_can(self):
+        rank, bits = lm._dense_rank(np.array([7, 2 ** 63, 7, 0, 2 ** 64 - 1, 5], np.uint64))
+        assert rank.dtype == np.uint64
+        assert rank.tolist() == [2, 3, 2, 0, 4, 1]
+        assert bits == 3
+        assert lm._dense_rank(np.array([9, 9], np.uint64))[1] == 0
+
+    @pytest.mark.parametrize("order, wide, chunk", [
+        (lm.MAX_ORDER, False, 500), (lm.MAX_ORDER, True, 500), (5, True, 500),
+        # 4 * 13 id bits fit; with the 14 bits of 10,000 window positions
+        # they do not.
+        (4, True, lm._CHUNK_CHARS)])
+    def test_ranked_codes_over_several_groups(self, order, wide, chunk):
+        chars = WIDE_CHARS[:-1] if wide else ["a", "b", "z"]
+        texts = ["".join(chars[(i * i + j) % len(chars)] for j in range(i % 13 + 3))
+                 for i in range(40)]
+        corpus = Corpus(tuple((texts[i % 40], texts[(i * 7) % 40]) for i in range(700)))
+        assert corpus.token_count() > 10_000
+        with mock.patch.object(lm, "_CHUNK_CHARS", chunk), \
+                mock.patch.object(lm, "_dense_rank", wraps=lm._dense_rank) as rank:
+            assert_trains_like_reference(corpus, order, WIDE_VOCAB if wide else build_vocab("abz"),
+                                         [(corpus, 0.3)])
+        assert rank.called
 
     def test_records_longer_than_and_across_chunk_boundaries(self):
         # One record several chunks long, then records of 301 characters,
@@ -351,12 +440,7 @@ class TestBulkCounting:
         corpus = Corpus(records)
         vocab = build_vocab("abc")
         for order in (1, 3, 6):
-            bulk = pretrain(corpus, order, k=0.5, vocab=vocab)
-            reference = reference_train(NGramModel(order, 0.5, vocab), corpus, 1.0,
-                                        bulk.provenance)
-            assert_same_model(bulk, reference)
-            tuned = finetune(bulk, corpus, 0.3)
-            assert_same_model(tuned, reference_train(reference, corpus, 0.3, tuned.provenance))
+            assert_trains_like_reference(corpus, order, vocab, [(corpus, 0.3)])
 
     def test_weight_one_on_a_fractional_count_steps_one_at_a_time(self):
         # 35 steps of += 1.0 from 5e-09 give 35.000000005000004, not
@@ -619,6 +703,21 @@ class TestModelPersistence:
         for group in (1, 2, 3, lm._GROUP_LINES):
             with mock.patch.object(lm, "_GROUP_LINES", group):
                 assert outcome(load_model, path) == expected, group
+
+    @pytest.mark.parametrize("group", [1, 2, 3, lm._GROUP_LINES])
+    def test_context_total_past_the_largest_float_names_its_line(self, tmp_path, capsys,
+                                                                 group):
+        # Each count is finite, but the third line takes context 0's total
+        # past the largest float; context 3's one huge count is allowed.
+        path = self._saved_with_counts(
+            tmp_path, lambda _: ["0 0 1e+308", "0 3 1.0", "0 4 1e+308", "3 3 1e+308"])
+        message = (f"{path}: line 14: its context's counts plus k per vocabulary id sum past "
+                   f"the largest float")
+        with mock.patch.object(lm, "_GROUP_LINES", group):
+            assert outcome(load_model, path) == (ModelFormatError, message)
+            assert cli.main(["decode", "--target", str(path), "--drafter", str(path),
+                             "--prompt", "a"]) == 4
+        assert capsys.readouterr().err == f"error: format: {message}\n"
 
     def test_order_above_the_maximum_is_malformed(self, tmp_path):
         path = self._saved_with_counts(tmp_path, lambda body: [])
