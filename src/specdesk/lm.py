@@ -139,6 +139,9 @@ class NGramModel:
             raise ValueError(f"order must be between 1 and {MAX_ORDER}, got {order}")
         if not 0.0 < k < math.inf:
             raise ValueError(f"smoothing k must be finite and > 0, got {k!r}")
+        if k * vocab.size == math.inf:  # every context's total would pass the largest float
+            raise ValueError(f"smoothing k = {k!r} times the vocabulary size {vocab.size} "
+                             f"passes the largest float")
         counts = counts if counts is not None else {}
         # Checked here once, so next_dist can index by id unchecked and
         # save_model never writes a file load_model rejects.
@@ -238,6 +241,25 @@ def _dense_rank(codes: np.ndarray) -> tuple[np.ndarray, int]:
     return rank.astype(np.uint64), (len(distinct) - 1).bit_length()
 
 
+def _padded_stream(texts: list[str], vocab: Vocabulary, order: int) -> np.ndarray:
+    """Each text's ids led by order - 1 <bos> and followed by <eos>, as one
+    uint32 array. The ids are written through a mask of their places, one
+    byte per character, and no temporary outlives the call. They are encoded
+    before the stream is made, so encode_array's temporaries and the stream
+    are never held at once."""
+    ids = encode_array("".join(texts), vocab)
+    lengths = np.fromiter(map(len, texts), np.int64, len(texts))
+    ends = np.cumsum(lengths + order)
+    stream = np.full(ends[-1], BOS_ID, dtype="<u4")
+    is_id = np.ones(len(stream), dtype=bool)
+    is_id[ends - 1] = False
+    for j in range(order - 1):
+        is_id[ends - lengths - order + j] = False
+    stream[is_id] = ids
+    stream[ends - 1] = EOS_ID
+    return stream
+
+
 def _accumulate(model: NGramModel, corpus: Corpus, weight: float) -> None:
     """Add weight for every (context, token) window of each record's
     <bos>-padded, <eos>-terminated stream to model.counts, as if one
@@ -255,14 +277,7 @@ def _accumulate(model: NGramModel, corpus: Corpus, weight: float) -> None:
     window_key = np.dtype((np.void, 4 * order))
     tally: dict[bytes, int] = {}
     for texts in _record_groups(corpus):
-        ids = encode_array("".join(texts), model.vocab)
-        lengths = np.fromiter(map(len, texts), np.int64, len(texts))
-        # Record r's segment is n1 <bos>, its ids, then <eos>, so its ids
-        # sit n1 + r * order places after their index in ids.
-        stream = np.full(len(ids) + order * len(texts), BOS_ID, dtype="<u4")
-        stream[np.arange(len(ids)) + np.repeat(np.arange(n1, order * len(texts), order),
-                                               lengths)] = ids
-        stream[np.cumsum(lengths + order) - 1] = EOS_ID
+        stream = _padded_stream(texts, model.vocab, order)
         # Window i is stream[i:i + order]. Its code packs its ids, bits
         # apiece, then i in the low pos_bits, so codes sort like windows, and
         # equal windows by position. A code with no room for the next field

@@ -149,12 +149,16 @@ def draft(drafter: NGramModel, context: Sequence[int], draft_len: int,
     it would give, so greedy drafting reads nothing from rng (it may be None).
 
     Each position's distribution is read from the drafter's table for this
-    temperature, keyed by the padded context next_dist reads. A missing row
-    is built from next_dist and apply_temperature, and the table keeps it
-    while it holds fewer than lm._DIST_CACHE_LIMIT rows. A drafter keeps the
-    tables of core._TEMPERATURES_KEPT temperatures at most. Drawing from a row
-    is sample's inverse-CDF rule, one uniform per token, so the table changes
-    no token, distribution object or draw."""
+    temperature, keyed by the code of the padded context next_dist reads: its
+    order - 1 ids as a base-|V| number, where <bos> is 0, so padding adds no
+    digit. A missing row is built from next_dist and apply_temperature, and
+    the table keeps it while it holds fewer than lm._DIST_CACHE_LIMIT rows. A
+    context whose last order - 1 ids are not all Python ints below |V| (one
+    outside the vocabulary, or a numpy integer) gets no code, and a call from
+    it builds each row it reads and keeps none. A drafter keeps the tables of
+    core._TEMPERATURES_KEPT temperatures at most. Drawing from a row is
+    sample's inverse-CDF rule, one uniform per token, so the table changes no
+    token, distribution object or draw."""
     if draft_len < 1:
         raise ValueError("draft_len must be >= 1")
     rows = drafter._draft_rows.get(temperature)
@@ -163,22 +167,31 @@ def draft(drafter: NGramModel, context: Sequence[int], draft_len: int,
         if len(drafter._draft_rows) >= _TEMPERATURES_KEPT:
             drafter._draft_rows = {}
         rows = drafter._draft_rows.setdefault(temperature, {})
-    key = drafter._pad_context(context)
+    keep = lm._DIST_CACHE_LIMIT
+    size, n1 = len(drafter.vocab.tokens), drafter.order - 1  # |V|, without the property call
+    top = size ** (n1 - 1) if n1 else 0  # the place value of the oldest id
+    tail = context[-n1:] if n1 else ()
+    code = 0
+    for token in tail:
+        if token.__class__ is not int or not 0 <= token < size:
+            rows, keep = {}, 0
+            break
+        code = code * size + token
     greedy = temperature == 0.0
     tokens, dists = [], []
     for _ in range(draft_len):
-        dist = rows.get(key)
+        dist = rows.get(code)
         if dist is None:
-            dist = apply_temperature(drafter.next_dist(key), temperature)
-            if len(rows) < lm._DIST_CACHE_LIMIT:
-                rows[key] = dist
+            dist = apply_temperature(drafter.next_dist([*tail, *tokens]), temperature)
+            if len(rows) < keep:
+                rows[code] = dist
         token = dist._argmax if greedy else _inverse_cdf(dist, rng.random())
         tokens.append(token)
         dists.append(dist)
         if token == EOS_ID:
             break
-        # The last order - 1 ids, so () for order 1.
-        key = (key + (token,))[1:]
+        if top:  # (code * size + token) % size ** n1, through smaller numbers
+            code = code % top * size + token
     return Draft._trusted(tuple(tokens), tuple(dists))
 
 
@@ -194,11 +207,14 @@ class _TargetRows(Sequence):
     def __init__(self, target: NGramModel, context: Sequence[int], d: Draft,
                  temperature: float):
         # next_dist reads at most the last order - 1 ids of a context (fewer
-        # are padded), so the tail stands in for the whole context.
+        # are padded), so the tail stands in for the whole context. A list's
+        # slice is a copy; any other slice (a numpy view) is copied too, so
+        # the rows do not change with the caller's context.
         n1 = target.order - 1
         self.next_dist = target.next_dist
         self.order = target.order
-        self.tail = tuple(context[-n1:]) if n1 else ()
+        tail = context[-n1:] if n1 else []
+        self.tail = tail if tail.__class__ is list else list(tail)
         self.tokens = d.tokens
         self.temperature = temperature
 
@@ -211,7 +227,7 @@ class _TargetRows(Sequence):
         # Once j reaches order - 1, the last order - 1 draft tokens are the
         # whole context, even when the tail is shorter than order - 1.
         n1 = self.order - 1
-        ctx = self.tail + self.tokens[:j] if j <= n1 else self.tokens[j - n1:j]
+        ctx = [*self.tail, *self.tokens[:j]] if j <= n1 else self.tokens[j - n1:j]
         return apply_temperature(self.next_dist(ctx), self.temperature)
 
 
@@ -230,7 +246,8 @@ def _row_scorer(d: Draft, target_dists: Sequence[Distribution]):
     apply_temperature(score(ctx), T) once ctx is extended by d.tokens[:j].
     score_parallel's rows for d are scored from the target itself; any other
     rows are read by index, at T=1, where apply_temperature is the identity."""
-    if target_dists.__class__ is _TargetRows and target_dists.tokens == d.tokens:
+    if target_dists.__class__ is _TargetRows and (target_dists.tokens is d.tokens
+                                                  or target_dists.tokens == d.tokens):
         return target_dists.next_dist, list(target_dists.tail), target_dists.temperature
     if len(target_dists) != len(d.tokens) + 1:
         raise ValueError("need exactly len(draft) + 1 target distributions")
@@ -299,11 +316,16 @@ def verify_greedy(d: Draft, target_dists: Sequence[Distribution]) -> Verificatio
     tokens = d.tokens
     score, ctx, _ = _row_scorer(d, target_dists)
     for j, token in enumerate(tokens):
-        top = argmax(score(ctx))
+        row = score(ctx)
+        top = row._argmax
+        if top is None:
+            top = argmax(row)
         if token != top:
             return _outcome(j, top)
         ctx.append(token)
-    return _outcome(len(tokens), argmax(score(ctx)))
+    row = score(ctx)
+    top = row._argmax
+    return _outcome(len(tokens), argmax(row) if top is None else top)
 
 
 def decode_speculative(target: NGramModel, drafter: NGramModel,
@@ -336,10 +358,9 @@ def decode_speculative(target: NGramModel, drafter: NGramModel,
         d = draft(drafter, context, draft_len, temperature, draft_rng)
         target_dists = score_parallel(target, context, d, temperature)
         if greedy:
-            outcome = verify_greedy(d, target_dists)
+            n, extra = verify_greedy(d, target_dists)
         else:
-            outcome = verify_stochastic(d, target_dists, accept_rng)
-        n, extra = outcome
+            n, extra = verify_stochastic(d, target_dists, accept_rng)
         accepted_per_cycle.append(n)
         drafted += len(d.tokens)
         # Keep the cycle up to its first <eos> or the remaining budget; an

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -194,6 +195,14 @@ class TestExitCodes:
         assert not out.exists()
         assert re.fullmatch(r"error: invalid: context \(\d+,\)'s counts plus k per vocabulary "
                             r"id sum past the largest float\n", capsys.readouterr().err)
+
+    def test_pretrain_k_past_the_largest_float_over_the_vocabulary_is_6(self, ws, capsys):
+        out = ws / "k.model"
+        assert main(["train", "pretrain", "--corpus", str(ws / "de.tsv"), "--order", "2",
+                     "--k", "1e308", "--out", str(out)]) == 6
+        assert not out.exists()
+        assert re.fullmatch(r"error: invalid: smoothing k = 1e\+308 times the vocabulary size "
+                            r"\d+ passes the largest float\n", capsys.readouterr().err)
 
     def test_version_mismatch_is_4_with_distinct_kind(self, ws):
         content = (ws / "target_de.model").read_text(encoding="utf-8")
@@ -817,10 +826,14 @@ def edit_lists(inserts):
 
 def assert_documented_exit(argv):
     """cli.main on argv exits with a documented code other than the internal
-    error's, and prints no traceback."""
+    error's, and prints no traceback. argparse exits by raising SystemExit,
+    whose code is the exit code `python -m specdesk` gives."""
     stderr = io.StringIO()
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
     assert code in DOCUMENTED_EXITS and code != EXIT_INTERNAL, stderr.getvalue()
     assert "Traceback" not in stderr.getvalue()
 
@@ -905,3 +918,75 @@ class TestRegistryFileFuzz:
             for name in ("de.model", "ru.model"):  # route checks only that they exist
                 (Path(tmp) / name).write_text("", encoding="utf-8")
             assert_documented_exit(["route", "--registry", str(registry), "--text", text])
+
+
+# Spellings a value flag is given: values no parser takes, out of range,
+# not finite, overflowing or empty, and a few it takes. Twenty digits are
+# only given to flags with an upper bound: a valid but unbounded size, such
+# as --max-new 10**20, is correct but could run for a very long time.
+FLAG_SPELLINGS = ["nan", "inf", "-inf", "-1", "0", "1e400", "", "x", "1,", "1.5", "1e-320",
+                  " 2", "0x1"]
+BOUNDED_FLAGS = {"--K", "--order"}
+
+
+def flag_commands(ws, tmp):
+    """Each command with valid values for every value flag, by flag."""
+    grid = tmp / "grid.cfg"
+    grid.write_text(f"[grid]\ntarget = {ws / 'target_de.model'}\ntemps = 0.0\nseeds = 0\n"
+                    f"K = 3\nmax_new = 4\nmax_prompts = 1\n[grid.drafters]\n"
+                    f"de = {ws / 'drafter_de.model'}\n[grid.corpora]\n"
+                    f"de = {ws / 'eval_de.tsv'}\n", encoding="utf-8")
+    return {
+        ("decode", "--target", str(ws / "target_de.model"), "--drafter",
+         str(ws / "drafter_de.model"), "--prompt", "Translate German to English: haus"):
+            {"--K": "3", "--T": "0.7", "--max-new": "8", "--seed": "1"},
+        ("distill", "--target", str(ws / "target_de.model"), "--prompts",
+         str(ws / "eval_de.tsv"), "--out", str(tmp / "d.tsv")):
+            {"--temps": "0.0,0.7", "--samples": "1", "--max-len": "8", "--seed": "1"},
+        ("train", "pretrain", "--corpus", str(ws / "de.tsv"), "--out", str(tmp / "p.model")):
+            {"--order": "2", "--k": "0.5"},
+        ("train", "finetune", "--model", str(ws / "base.model"), "--corpus",
+         str(ws / "de.tsv"), "--out", str(tmp / "f.model")):
+            {"--weight": "0.5", "--max-tokens": "200"},
+        ("bench", "grid", "--config", str(grid), "--out-dir", str(tmp / "grid")):
+            {"--jobs": "1"},
+    }
+
+
+class TestFlagFuzz:
+    """Every value flag of every command, given values that are not numbers,
+    not finite, out of range or empty, exits with a documented code; never
+    with an internal error or a traceback."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_fuzzed_flags_exit_with_a_documented_code(self, ws, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            commands = flag_commands(ws, Path(tmp))
+            command = data.draw(st.sampled_from(sorted(commands)))
+            flags = dict(commands[command])
+            for flag in data.draw(st.lists(st.sampled_from(sorted(flags)), min_size=1,
+                                           max_size=3, unique=True)):
+                spellings = FLAG_SPELLINGS + ["1" * 20] * (flag in BOUNDED_FLAGS)
+                flags[flag] = data.draw(st.sampled_from(spellings))
+            # --flag=value, so that a value such as -inf is not read as a flag.
+            assert_documented_exit([*command, *(f"{flag}={value}"
+                                                for flag, value in flags.items())])
+
+    def test_every_value_flag_is_fuzzed(self, ws, tmp_path):
+        fuzzed = {flag for flags in flag_commands(ws, tmp_path).values() for flag in flags}
+        value_flags = {option for action in _subcommand_actions(build_parser())
+                       if action.option_strings and action.nargs != 0
+                       for option in action.option_strings}
+        assert value_flags - fuzzed == {"--config", "--corpus", "--vocab", "--out", "--model",
+                                        "--target", "--prompts", "--wrapper", "--drafter",
+                                        "--prompt", "--out-dir", "--registry", "--text"}
+
+
+def _subcommand_actions(parser):
+    """The actions of every leaf subcommand of parser."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        return list(parser._actions)
+    return [action for sub in subs for child in sub.choices.values()
+            for action in _subcommand_actions(child)]

@@ -2,6 +2,7 @@ import contextlib
 import functools
 import io
 import math
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -113,6 +114,17 @@ class TestPretrainCounting:
         for k in (float("nan"), float("inf")):
             with pytest.raises(ValueError):
                 NGramModel(2, k, build_vocab("ab"))
+
+    def test_k_past_the_largest_float_over_the_vocabulary_rejected(self):
+        # next_dist divides by at least k * |V|, so that product must be finite.
+        vocab = build_vocab("ab")
+        assert NGramModel(2, sys.float_info.max / vocab.size, vocab).next_dist([0]).p(3) == 0.2
+        for k in (1e308, sys.float_info.max):
+            message = f"smoothing k = {k!r} times the vocabulary size 5 passes the largest float"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                NGramModel(2, k, vocab)
+        with pytest.raises(ValueError, match=r"^smoothing k = 1e\+308 "):
+            pretrain(AAB, order=2, k=1e308)
 
     @pytest.mark.parametrize("counts", [
         {(0,): {99: 1.0, -1: 2.0}}, {(0,): {-1: 2.0}}, {(5,): {0: 1.0}},
@@ -787,7 +799,9 @@ class TestModelPersistence:
 
 def reference_parse_model(lines):
     """The loader load_model once ran: the header and vocabulary checks,
-    then each count line split, parsed, checked and added on its own."""
+    then each count line split, parsed, checked and added on its own, then
+    the finite-sum rule, which names the first line whose count takes its
+    context's total past the largest float."""
     version = lm._header_value(lines, 0, "version", int)
     if version != lm.MODEL_FORMAT_VERSION:
         raise ModelVersionError(
@@ -806,6 +820,7 @@ def reference_parse_model(lines):
             f"counts={n_counts} but {len(lines) - counts_start} count lines follow")
     counts = {}
     shared = {}
+    added = []  # (line index, context, count), in file order
     previous = ()
     for ln in range(counts_start, len(lines)):
         parts = lines[ln].split(" ")
@@ -824,6 +839,17 @@ def reference_parse_model(lines):
             raise ModelFormatError(f"line {ln + 1}: count lines must be strictly increasing")
         previous = key
         counts.setdefault(key[:-1], {})[key[-1]] = shared.setdefault(parts[-1], count)
+        added.append((ln, key[:-1], count))
+    read = {}
+    for ln, ctx, count in added:
+        read.setdefault(ctx, []).append(count)
+        try:
+            total = k * vocab_size + math.fsum(read[ctx])
+        except OverflowError:
+            total = math.inf
+        if total == math.inf:
+            raise ModelFormatError(f"line {ln + 1}: its context's counts plus k per vocabulary "
+                                   f"id sum past the largest float")
     return NGramModel(order, k, vocab, counts, provenance)
 
 
@@ -913,7 +939,7 @@ class TestGroupedModelFiles:
 # Spellings a fuzzed field takes: some parse as ints or floats that save_model
 # never writes, some do not parse, some are out of range or not finite.
 FUZZ_SPELLINGS = ["x", "+3", "03", "1_0", "٣", "nan", "-0.0", "1e400", "inf", "99",
-                  "-1", "1" * 20]
+                  "-1", "1" * 20, "1e308", "1.7976931348623157e308"]
 FUZZ_EDITS = ["field", "count", "drop", "duplicate", "swap", "add", "remove"]
 
 
@@ -995,6 +1021,28 @@ class TestModelLoaderFuzz:
                                  "--corpus", str(corpus), "--out", str(out)])
             assert code == (0 if isinstance(expected, NGramModel) else 4), stderr.getvalue()
             assert "Traceback" not in stderr.getvalue()
+
+    @pytest.mark.parametrize("spellings", [("1e308", "1e308"), ("1e308", "1.7976931348623157e308"),
+                                           ("1.7976931348623157e308", "1"), ("1e308", "0.5")])
+    def test_counts_near_the_largest_float_in_one_context_match_the_reference(self, spellings,
+                                                                             tmp_path):
+        # Two count lines of one context rarely both draw a large spelling,
+        # so the finite-sum rule gets cases of its own.
+        lines = fuzz_base_lines()
+        body = lines[next(i for i, line in enumerate(lines) if line.startswith("counts=")) + 1:]
+        i = next(i for i in range(len(body) - 1)
+                 if body[i].rsplit(" ", 2)[0] == body[i + 1].rsplit(" ", 2)[0])
+        path = tmp_path / "m.model"
+        edits = tuple(("count", i + j, 0, spelling) for j, spelling in enumerate(spellings))
+        path.write_bytes(fuzzed_text(edits, 0, False).encode("utf-8"))
+        expected, got = outcome(reference_load, path), outcome(load_model, path)
+        if isinstance(expected, NGramModel):
+            assert_same_loaded(got, expected)
+        else:
+            assert got == expected
+            assert expected[1].endswith(f"line {len(lines) - len(body) + i + 2}: its context's "
+                                        f"counts plus k per vocabulary id sum past the largest "
+                                        f"float")
 
 
 # Characters that end a line, a field, a header, a key or a language tag, a

@@ -222,6 +222,7 @@ class TestDraftTable:
         drafter = pretrain(Corpus((("ab", "ca"), ("", "b"), ("c", "abcab"))), order, k=1e-3,
                            vocab=build_vocab(DRAFT_ALPHABET))
         eos_mid_draft = 0
+        drafted_from = set()
         for temperature in (0.0, 0.25, 0.7, 1.0, 3.0):
             for context in ([], [3], [3, 4, 5, 3], [0, 1, 2, 3, 4, 5, 3, 4], np.array([4, 3])):
                 for draft_len in range(1, 9):
@@ -229,10 +230,25 @@ class TestDraftTable:
                         got = assert_drafts_like_reference(drafter, context, draft_len,
                                                            temperature, seed)
                         eos_mid_draft += EOS_ID in got.tokens and len(got) < draft_len
+                        drafted_from.update(drafter._pad_context([*context, *got.tokens[:j]])
+                                            for j in range(len(got)))
         assert eos_mid_draft > 0
         assert set(drafter._draft_rows) == {0.0, 0.25, 0.7, 1.0, 3.0}
-        # Rows are keyed by the padded context next_dist reads: order - 1 ids.
-        assert {len(key) for rows in drafter._draft_rows.values() for key in rows} == {order - 1}
+        # Rows are keyed by the code of a padded context drafted from: its
+        # order - 1 ids, <bos> padding included, as a base-|V| number.
+        size = drafter.vocab.size
+        codes = {sum(int(i) * size ** p for p, i in enumerate(reversed(ctx)))
+                 for ctx in drafted_from}
+        assert set().union(*drafter._draft_rows.values()) <= codes
+
+    def test_a_context_with_no_code_drafts_like_the_reference_and_keeps_no_row(self):
+        m = chain_model("abcabd", order=3, k=0.3)
+        size = m.vocab.size
+        for temperature in (0.0, 0.7):
+            for context in ([size], [3, -1], [4, 2.5], [5, 10 ** 30], np.array([4, 3])):
+                for seed in range(3):
+                    assert_drafts_like_reference(m, context, 4, temperature, seed)
+        assert set(m._draft_rows) == {0.0, 0.7} and not any(m._draft_rows.values())
 
     def test_draw_past_the_end_of_the_cdf_takes_the_last_positive_id(self):
         # Ten ids of mass 0.1 sum, in order, to 1 - 2**-53: the largest
@@ -335,6 +351,12 @@ class TestScoreOnDemand:
         want = m.next_dist(prompt + list(d.tokens))
         prompt.extend(encode("dd", m.vocab))
         assert rows[len(d)] is want
+        # An array's slice is a view, so the rows keep a copy of its tail.
+        context = np.array(encode("ab", m.vocab))
+        rows = score_parallel(m, context, d, 1.0)
+        want = [m.next_dist(list(context) + list(d.tokens[:j])) for j in range(len(d) + 1)]
+        context[:] = encode("dd", m.vocab)
+        assert list(rows) == want
 
     def test_row_contexts_stay_short_for_long_drafts(self):
         # Each row reads at most the context tail plus order - 1 draft
