@@ -41,7 +41,7 @@ from .bench import (
 from .distill import (DEFAULT_TEMPERATURES, DistillJob, check_wrapper, self_distill,
                       with_task_prompts)
 from .routing import load_registry, select_drafter
-from .specdec import SpecConfig, VocabularyMismatchError, decode_speculative
+from .specdec import MAX_DRAFT_LEN, SpecConfig, VocabularyMismatchError, decode_speculative
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -145,6 +145,21 @@ def _ints(raw: str) -> tuple[int, ...]:
     return tuple(int(p) for p in raw.split(","))
 
 
+def _count(raw: str) -> int:
+    """An int that counts tokens or samples, so at least 1."""
+    value = int(raw)
+    if value < 1:
+        raise ValueError(f"must be >= 1, got {value}")
+    return value
+
+
+def _draft_len(raw: str) -> int:
+    value = _count(raw)
+    if value > MAX_DRAFT_LEN:
+        raise ValueError(f"must be at most {MAX_DRAFT_LEN}, got {value}")
+    return value
+
+
 def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
@@ -189,7 +204,11 @@ def cmd_train_finetune(args) -> int:
     model = load_model(args.model)
     corpus = _training_corpus(args)
     if args.max_tokens is not None:
-        corpus = truncate_corpus(corpus, args.max_tokens)
+        kept = truncate_corpus(corpus, args.max_tokens)
+        if corpus.records and not kept.records:
+            raise ValueError(f"--max-tokens (config key max_tokens): {args.max_tokens} keeps "
+                             f"no record of the corpus")
+        corpus = kept
     tuned = finetune(model, corpus, args.weight)
     save_model(tuned, args.out)
     _note(f"wrote {args.out} ({len(corpus)} records, weight={args.weight})")
@@ -361,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     tf.add_argument("--model", help="input model file")
     tf.add_argument("--corpus", help="finetuning corpus TSV")
     tf.add_argument("--weight", type=float, help="count weight")
-    tf.add_argument("--max-tokens", type=int, dest="max_tokens",
+    tf.add_argument("--max-tokens", type=_count, dest="max_tokens",
                     help="truncate the corpus to this many tokens")
     tf.add_argument("--out", help="output model file")
     tf.add_argument("--task-prompts", action="store_true",
@@ -376,8 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
     ds.add_argument("--target", help="target model file")
     ds.add_argument("--prompts", help="prompt corpus TSV (source texts)")
     ds.add_argument("--temps", type=_floats, help="temperature schedule")
-    ds.add_argument("--samples", type=int, help="samples per nonzero temperature")
-    ds.add_argument("--max-len", type=int, dest="max_len", help="max completion length")
+    ds.add_argument("--samples", type=_count, help="samples per nonzero temperature")
+    ds.add_argument("--max-len", type=_count, dest="max_len", help="max completion length")
     ds.add_argument("--wrapper", type=check_wrapper,
                     help="chat template with a {prompt} placeholder")
     ds.add_argument("--seed", type=int, help="base seed for all randomness")
@@ -391,8 +410,8 @@ def build_parser() -> argparse.ArgumentParser:
     dc.add_argument("--drafter", help="drafter model file")
     dc.add_argument("--prompt", help="prompt text, or '-' to read stdin")
     dc.add_argument("--T", type=float, help="temperature")
-    dc.add_argument("--K", type=int, help="draft length")
-    dc.add_argument("--max-new", type=int, dest="max_new", help="max new tokens")
+    dc.add_argument("--K", type=_draft_len, help="draft length")
+    dc.add_argument("--max-new", type=_count, dest="max_new", help="max new tokens")
     dc.add_argument("--seed", type=int, help="base seed for all randomness")
     dc.add_argument("--stats", action="store_true",
                     help="print decode statistics as one JSON line after the text")

@@ -14,6 +14,7 @@ from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Optional, Union
 
@@ -157,7 +158,7 @@ def build_vocab(corpus: Union[str, Iterable[str]]) -> Vocabulary:
 
 def encode(text: str, vocab: Vocabulary) -> TokenSequence:
     """Map each scalar value to its id; characters outside the vocabulary map to <unk>."""
-    return [vocab.id_or_unk(ch) for ch in text]
+    return list(map(vocab._index.get, text, repeat(UNK_ID)))
 
 
 def encode_array(text: str, vocab: Vocabulary) -> np.ndarray:
@@ -175,13 +176,14 @@ def encode_array(text: str, vocab: Vocabulary) -> np.ndarray:
 
 def decode_tokens(ids: Iterable[int], vocab: Vocabulary) -> str:
     """Inverse of encode on reserved-free sequences; reserved ids render as ''."""
+    tokens = vocab.tokens
+    size = len(tokens)
     out = []
     for token_id in ids:
-        if not 0 <= token_id < vocab.size:
+        if not 0 <= token_id < size:
             raise ValueError(f"corrupted sequence: token id {token_id} out of range")
-        if token_id <= UNK_ID:
-            continue
-        out.append(vocab.tokens[token_id])
+        if token_id > UNK_ID:
+            out.append(tokens[token_id])
     return "".join(out)
 
 

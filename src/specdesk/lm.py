@@ -163,13 +163,18 @@ class NGramModel:
         self.counts: dict[tuple[int, ...], dict[int, float]] = counts
         self.provenance = provenance
         self._dist_cache: dict[tuple[int, ...], Distribution] = {}
-        # specdec.draft's rows: temperature -> padded context -> the tempered
-        # next_dist. Each temperature's table is bounded like _dist_cache, and
-        # at most core._TEMPERATURES_KEPT temperatures are kept.
-        self._draft_rows: dict[float, dict[tuple[int, ...], Distribution]] = {}
+        # specdec.draft's rows: temperature -> code of the padded context ->
+        # the tempered next_dist. Each temperature's table is bounded like
+        # _dist_cache, and at most core._TEMPERATURES_KEPT temperatures are kept.
+        self._draft_rows: dict[float, dict[int, Distribution]] = {}
+        # The shape of a context's code, which specdec.draft keys its rows by:
+        # |V|, order - 1 and the place value of the oldest id, |V| ** (order - 2),
+        # or 0 when the context holds no id.
+        size = vocab.size
+        n1 = self.order - 1
+        self._code_shape = (size, n1, size ** (n1 - 1) if n1 else 0)
         # The add-k uniform every context without counts shares; it is kept
         # out of _dist_cache, so unseen contexts cost no cache entry.
-        size = vocab.size
         self._uniform = Distribution(np.full(size, self.k, dtype=np.float64) / (self.k * size))
 
     def __eq__(self, other) -> bool:

@@ -16,13 +16,12 @@ from typing import Optional
 
 from .core import FormatError, read_sections
 
-# Each counted script's characters; any other code point counts for no script.
-_SCRIPTS = {
-    "latin": re.compile(r"[A-Za-z\u00C0-\u00D6\u00D8-\u00F6\u00F8-\u024F]"),
-    "cyrillic": re.compile(r"[\u0400-\u052F]"),
-    "kana": re.compile(r"[\u3040-\u30FF\u31F0-\u31FF]"),
-    "han": re.compile(r"[\u3400-\u4DBF\u4E00-\u9FFF]"),
-}
+# A run of one counted script's characters, in the group of that script:
+# Latin, Cyrillic, kana, han. Any other code point counts for no script.
+_SCRIPT_RUNS = re.compile(r"([A-Za-z\u00C0-\u00D6\u00D8-\u00F6\u00F8-\u024F]+)"
+                          r"|([\u0400-\u052F]+)"
+                          r"|([\u3040-\u30FF\u31F0-\u31FF]+)"
+                          r"|([\u3400-\u4DBF\u4E00-\u9FFF]+)")
 
 # Latin-script languages in tie order: tag -> (marker characters, function
 # words). A registry's marker hints may name these tags only.
@@ -102,17 +101,23 @@ def detect_source_language(text: str, marker_hints: Optional[dict] = None) -> Op
     """
     hints = marker_hints or {}
     _check_hints(hints)
-    counts = {script: len(chars.findall(text)) for script, chars in _SCRIPTS.items()}
-    latin, cyrillic, cjk = counts["latin"], counts["cyrillic"], counts["kana"] + counts["han"]
+    # One pass over the text, one match per run, so no list grows with it.
+    counts = [0, 0, 0, 0, 0]  # by group number: none, Latin, Cyrillic, kana, han
+    for run in _SCRIPT_RUNS.finditer(text):
+        start, end = run.span()
+        counts[run.lastindex] += end - start
+    _, latin, cyrillic, kana, han = counts
+    cjk = kana + han
     if latin == cyrillic == cjk == 0:
         return None
     top = max(latin, cyrillic, cjk)
     if cjk == top:
-        return "ja" if counts["kana"] > 0 else "zh"
+        return "ja" if kana > 0 else "zh"
     if cyrillic == top:
         return "ru"
 
-    marked = _vote({lang: sum(map(text.count, markers.union(hints.get(lang, ""))))
+    marked = _vote({lang: sum(map(text.count,
+                                  markers.union(hints.get(lang, "")) if hints else markers))
                     for lang, (markers, _) in LATIN_LANGUAGES.items()})
     if marked is not None:
         return marked

@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import (
     ACCEPT_STREAM,
+    BOS_ID,
     DRAFT_STREAM,
     EOS_ID,
     _TEMPERATURES_KEPT,
@@ -84,15 +85,6 @@ class Draft:
             if dist.p(tok) <= 0.0:
                 raise ValueError(f"draft token {i} has zero probability under its own distribution")
 
-    @classmethod
-    def _trusted(cls, tokens: tuple[int, ...], dists: tuple[Distribution, ...]) -> "Draft":
-        """A draft whose tokens were sampled from their own distributions, so
-        each has positive probability; skips the per-token re-check."""
-        d = object.__new__(cls)
-        _set_tokens(d, tokens)
-        _set_dists(d, dists)
-        return d
-
     def __len__(self) -> int:
         return len(self.tokens)
 
@@ -107,7 +99,7 @@ class VerificationOutcome(NamedTuple):
 
 
 # The slots' own setters, which the frozen class's __setattr__ does not
-# guard; Draft._trusted fills a new instance through them.
+# guard; draft fills a new Draft through them.
 _set_tokens, _set_dists = Draft.tokens.__set__, Draft.dists.__set__
 
 # Equal outcomes share one object, kept in a bounded cache like
@@ -156,9 +148,12 @@ def draft(drafter: NGramModel, context: Sequence[int], draft_len: int,
     context whose last order - 1 ids are not all Python ints below |V| (one
     outside the vocabulary, or a numpy integer) gets no code, and a call from
     it builds each row it reads and keeps none. A drafter keeps the tables of
-    core._TEMPERATURES_KEPT temperatures at most. Drawing from a row is
-    sample's inverse-CDF rule, one uniform per token, so the table changes no
-    token, distribution object or draw."""
+    core._TEMPERATURES_KEPT temperatures at most. The code's shape, |V|,
+    order - 1 and the place value of the oldest id, belongs to the drafter,
+    which works it out once when it is made. Drawing from a row is sample's
+    inverse-CDF rule, one uniform per token, so the table changes no token,
+    distribution object or draw. Each drafted token has positive probability
+    under its own row, so the Draft is made without Draft's re-check."""
     if draft_len < 1:
         raise ValueError("draft_len must be >= 1")
     rows = drafter._draft_rows.get(temperature)
@@ -168,8 +163,7 @@ def draft(drafter: NGramModel, context: Sequence[int], draft_len: int,
             drafter._draft_rows = {}
         rows = drafter._draft_rows.setdefault(temperature, {})
     keep = lm._DIST_CACHE_LIMIT
-    size, n1 = len(drafter.vocab.tokens), drafter.order - 1  # |V|, without the property call
-    top = size ** (n1 - 1) if n1 else 0  # the place value of the oldest id
+    size, n1, top = drafter._code_shape
     tail = context[-n1:] if n1 else ()
     code = 0
     for token in tail:
@@ -192,31 +186,21 @@ def draft(drafter: NGramModel, context: Sequence[int], draft_len: int,
             break
         if top:  # (code * size + token) % size ** n1, through smaller numbers
             code = code % top * size + token
-    return Draft._trusted(tuple(tokens), tuple(dists))
+    d = object.__new__(Draft)
+    _set_tokens(d, tuple(tokens))
+    _set_dists(d, tuple(dists))
+    return d
 
 
 class _TargetRows(Sequence):
-    """The len(d) + 1 target rows of score_parallel, held as what scores
-    them: row j is apply_temperature(next_dist(tail + d.tokens[:j]), T).
-    The verifiers score the rows they read themselves and stop at the first
-    rejection, so the rows past it are never scored; reading a row by index
-    scores it the same way."""
+    """The len(d) + 1 target rows of score_parallel, which fills the slots,
+    held as what scores them: row j is apply_temperature(next_dist(window[j:j + n1]), T), where
+    window is the context's last n1 = order - 1 ids, padded with <bos> as
+    next_dist pads them, followed by d.tokens. The verifiers score the rows
+    they read themselves and stop at the first rejection, so the rows past
+    it are never scored; reading a row by index scores it the same way."""
 
-    __slots__ = ("next_dist", "order", "tail", "tokens", "temperature")
-
-    def __init__(self, target: NGramModel, context: Sequence[int], d: Draft,
-                 temperature: float):
-        # next_dist reads at most the last order - 1 ids of a context (fewer
-        # are padded), so the tail stands in for the whole context. A list's
-        # slice is a copy; any other slice (a numpy view) is copied too, so
-        # the rows do not change with the caller's context.
-        n1 = target.order - 1
-        self.next_dist = target.next_dist
-        self.order = target.order
-        tail = context[-n1:] if n1 else []
-        self.tail = tail if tail.__class__ is list else list(tail)
-        self.tokens = d.tokens
-        self.temperature = temperature
+    __slots__ = ("next_dist", "n1", "window", "tokens", "temperature")
 
     def __len__(self) -> int:
         return len(self.tokens) + 1
@@ -224,11 +208,7 @@ class _TargetRows(Sequence):
     def __getitem__(self, j: int) -> Distribution:
         if not 0 <= j <= len(self.tokens):
             raise IndexError("target row index out of range")
-        # Once j reaches order - 1, the last order - 1 draft tokens are the
-        # whole context, even when the tail is shorter than order - 1.
-        n1 = self.order - 1
-        ctx = [*self.tail, *self.tokens[:j]] if j <= n1 else self.tokens[j - n1:j]
-        return apply_temperature(self.next_dist(ctx), self.temperature)
+        return apply_temperature(self.next_dist(self.window[j:j + self.n1]), self.temperature)
 
 
 def score_parallel(target: NGramModel, context: Sequence[int], d: Draft,
@@ -238,20 +218,31 @@ def score_parallel(target: NGramModel, context: Sequence[int], d: Draft,
     by 1..len(d) draft tokens. Equal to sequential scoring by construction.
     The rows are scored on read, so a caller pays only for the rows it
     reads; like batching, that is an execution detail, not a semantic one."""
-    return _TargetRows(target, context, d, temperature)
+    # next_dist reads at most the last order - 1 ids of a context, so the
+    # tail stands in for the whole context. It is copied into a tuple, so
+    # the rows do not change with the caller's context, a numpy view's
+    # included, and padded only when the context is shorter.
+    n1 = target.order - 1
+    tail = tuple(context[-n1:]) if n1 else ()
+    if len(tail) < n1:
+        tail = (BOS_ID,) * (n1 - len(tail)) + tail
+    rows = object.__new__(_TargetRows)
+    rows.next_dist = target.next_dist
+    rows.n1 = n1
+    rows.window = tail + d.tokens
+    rows.tokens = d.tokens
+    rows.temperature = temperature
+    return rows
 
 
 def _row_scorer(d: Draft, target_dists: Sequence[Distribution]):
-    """(score, ctx, T) such that row j of target_dists is
-    apply_temperature(score(ctx), T) once ctx is extended by d.tokens[:j].
-    score_parallel's rows for d are scored from the target itself; any other
-    rows are read by index, at T=1, where apply_temperature is the identity."""
-    if target_dists.__class__ is _TargetRows and (target_dists.tokens is d.tokens
-                                                  or target_dists.tokens == d.tokens):
-        return target_dists.next_dist, list(target_dists.tail), target_dists.temperature
+    """(score, window, n1, T) for rows a caller supplies, in the form the
+    verifiers read score_parallel's own rows in: row j of target_dists is
+    apply_temperature(score(window[j:j + n1]), T). Here window is the row
+    indices, n1 is 1 and T=1, where apply_temperature is the identity."""
     if len(target_dists) != len(d.tokens) + 1:
         raise ValueError("need exactly len(draft) + 1 target distributions")
-    return lambda ctx: target_dists[len(ctx)], [], 1.0
+    return lambda ids: target_dists[ids[0]], range(len(target_dists)), 1, 1.0
 
 
 def residual_dist(q: Distribution, p: Distribution) -> Distribution:
@@ -294,19 +285,25 @@ def verify_stochastic(d: Draft, target_dists: Sequence[Distribution], rng) -> Ve
     1), so the correction is then sampled from q.
     """
     tokens, dists = d.tokens, d.dists
-    score, ctx, temperature = _row_scorer(d, target_dists)
+    # score_parallel's rows for these tokens are scored here, from the target.
+    if target_dists.__class__ is _TargetRows and (target_dists.tokens is tokens
+                                                  or target_dists.tokens == tokens):
+        score, window, n1 = target_dists.next_dist, target_dists.window, target_dists.n1
+        temperature = target_dists.temperature
+    else:
+        score, window, n1, temperature = _row_scorer(d, target_dists)
     for j, token in enumerate(tokens):
         p = dists[j]
-        q = apply_temperature(score(ctx), temperature)
+        q = apply_temperature(score(window[j:j + n1]), temperature)
         if rng.random() < q.probs.item(token) / p.probs.item(token):
-            ctx.append(token)
             continue
         try:
             residual = residual_dist(q, p)
         except ValueError:  # the residual vanished
             residual = q
         return _outcome(j, sample(residual, rng))
-    return _outcome(len(tokens), sample(apply_temperature(score(ctx), temperature), rng))
+    j = len(tokens)
+    return _outcome(j, sample(apply_temperature(score(window[j:j + n1]), temperature), rng))
 
 
 def verify_greedy(d: Draft, target_dists: Sequence[Distribution]) -> VerificationOutcome:
@@ -314,18 +311,22 @@ def verify_greedy(d: Draft, target_dists: Sequence[Distribution]) -> Verificatio
     read from the untempered target row (its T=0 one-hot's argmax) or a caller's row as
     given; the correction or bonus token is that argmax at the first mismatch or past the end."""
     tokens = d.tokens
-    score, ctx, _ = _row_scorer(d, target_dists)
+    if target_dists.__class__ is _TargetRows and (target_dists.tokens is tokens
+                                                  or target_dists.tokens == tokens):
+        score, window, n1 = target_dists.next_dist, target_dists.window, target_dists.n1
+    else:
+        score, window, n1, _ = _row_scorer(d, target_dists)
     for j, token in enumerate(tokens):
-        row = score(ctx)
+        row = score(window[j:j + n1])
         top = row._argmax
         if top is None:
             top = argmax(row)
         if token != top:
             return _outcome(j, top)
-        ctx.append(token)
-    row = score(ctx)
+    j = len(tokens)
+    row = score(window[j:j + n1])
     top = row._argmax
-    return _outcome(len(tokens), argmax(row) if top is None else top)
+    return _outcome(j, argmax(row) if top is None else top)
 
 
 def decode_speculative(target: NGramModel, drafter: NGramModel,
@@ -339,7 +340,7 @@ def decode_speculative(target: NGramModel, drafter: NGramModel,
     runs are reproducible per seed; at T=0 neither draws. The returned
     continuation excludes <eos>.
     """
-    if target.vocab != drafter.vocab:
+    if target.vocab is not drafter.vocab and target.vocab != drafter.vocab:
         raise VocabularyMismatchError("target and drafter must share one vocabulary")
     # Greedy drafting and verification draw nothing, so T=0 builds no stream.
     temperature = cfg.temperature

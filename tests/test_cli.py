@@ -185,7 +185,7 @@ class TestExitCodes:
         proc = run_cli("decode", "--target", "broken.model", "--drafter", "broken.model",
                        "--prompt", "x", "--K", "0", cwd=ws)
         assert proc.returncode == 6, proc.stderr
-        assert proc.stderr.startswith("error: invalid: draft_len")
+        assert proc.stderr == "error: invalid: --K (config key K): must be >= 1, got 0\n"
 
     def test_finetune_weight_past_the_largest_float_is_6_and_writes_nothing(self, ws, capsys):
         out = ws / "overflowed.model"
@@ -230,7 +230,8 @@ class TestExitCodes:
         proc = run_cli("decode", "--target", "target_de.model", "--drafter", "target_de.model",
                        "--prompt", "x", "--K", "1000000000", "--max-new", "1", cwd=ws)
         assert proc.returncode == 6
-        assert proc.stderr.startswith("error: invalid: draft_len must be between 1 and")
+        assert proc.stderr == ("error: invalid: --K (config key K): must be at most "
+                               f"{specdec.MAX_DRAFT_LEN}, got 1000000000\n")
 
     def test_non_finite_decode_temperature_is_6(self, ws):
         for t in ("nan", "inf"):
@@ -487,6 +488,37 @@ class TestConfigKeys:
         rest = {f: v[0] for f, v in pairs.items() if f != "--K"}
         code, out, err, *_ = _run_in(ws, capsys, ("decode",), rest, extra, {"K": "abc"})
         assert (code, out, err) == (6, "", self.BAD_K)
+
+    @pytest.mark.parametrize("command,flag,bad,reason", [
+        (("distill",), "--samples", "0", "must be >= 1, got 0"),
+        (("distill",), "--max-len", "-3", "must be >= 1, got -3"),
+        (("train", "finetune"), "--max-tokens", "0", "must be >= 1, got 0"),
+        (("decode",), "--K", "0", "must be >= 1, got 0"),
+        (("decode",), "--K", "1025", "must be at most 1024, got 1025"),
+        (("decode",), "--max-new", "0", "must be >= 1, got 0"),
+    ], ids=["samples", "max-len", "max-tokens", "K-low", "K-high", "max-new"])
+    def test_out_of_range_value_names_its_flag_and_key(self, ws, capsys, command, flag, bad,
+                                                       reason):
+        pairs, extra = CONFIG_CASES[command]
+        flags = {f: v[0] for f, v in pairs.items()}
+        key = flag[2:].replace("-", "_")
+        want = (6, "", f"error: invalid: {flag} (config key {key}): {reason}\n", None, None)
+        assert _run_in(ws, capsys, command, {**flags, flag: bad}, extra) == want
+        rest = {f: v for f, v in flags.items() if f != flag}
+        assert _run_in(ws, capsys, command, rest, extra, {key: bad}) == want
+
+    def test_finetune_cut_to_no_record_is_6_and_writes_nothing(self, ws, capsys):
+        # The first record's prompt is longer than one token, so a budget of
+        # one keeps none of it.
+        assert len(load_corpus(ws / "de.tsv").records[0][0]) > 1
+        pairs, extra = CONFIG_CASES[("train", "finetune")]
+        flags = {f: v[0] for f, v in pairs.items()}
+        want = (6, "", "error: invalid: --max-tokens (config key max_tokens): 1 keeps no "
+                       "record of the corpus\n", None, None)
+        assert _run_in(ws, capsys, ("train", "finetune"), {**flags, "--max-tokens": "1"},
+                       extra) == want
+        rest = {f: v for f, v in flags.items() if f != "--max-tokens"}
+        assert _run_in(ws, capsys, ("train", "finetune"), rest, extra, {"max_tokens": "1"}) == want
 
     @pytest.mark.parametrize("command", CONFIG_CASES, ids=" ".join)
     def test_unknown_key_is_4(self, ws, capsys, command):

@@ -168,6 +168,66 @@ class TestEncodeDecode:
         assert ids.tolist() == encode(text, v)
 
 
+def reference_encode(text, vocab):
+    """encode's definition: each character's id, or <unk> outside the vocabulary."""
+    return [vocab.id_or_unk(ch) for ch in text]
+
+
+def reference_decode(ids, vocab):
+    """decode_tokens' definition: each id's token, reserved ids as ''; the first
+    id outside [0, |V|) raises, naming it."""
+    out = []
+    for token_id in ids:
+        if not 0 <= token_id < vocab.size:
+            raise ValueError(f"corrupted sequence: token id {token_id} out of range")
+        out.append("" if token_id <= UNK_ID else vocab.tokens[token_id])
+    return "".join(out)
+
+
+# Characters in and out of the vocabularies below: reserved-token text,
+# surrogates, a non-BMP character and a newline.
+CODEC_CHARS = ["a", "b", "<", "u", "n", "k", ">", "ж", chr(0x1F600), chr(0xD83D), "\n", "z", "é"]
+
+
+class TestEncodeDecodeDefinitions:
+    """encode maps through the vocabulary's index in bulk and decode_tokens
+    reads |V| once; each must equal its per-character definition."""
+
+    @given(st.text(alphabet=st.sampled_from(CODEC_CHARS), max_size=80),
+           st.sampled_from(["", "ab", "<unk>", "aж" + chr(0x1F600), "zé\n"]))
+    def test_encode_equals_its_definition(self, text, known):
+        vocab = build_vocab(known)
+        got = encode(text, vocab)
+        assert got == reference_encode(text, vocab)
+        assert all(type(i) is int for i in got)
+
+    @given(st.sampled_from(["", "ab", "aж" + chr(0x1F600), "zé\n<"]), st.data())
+    def test_decode_equals_its_definition(self, known, data):
+        vocab = build_vocab(known)
+        # Reserved ids, every token id, and ids just outside either end.
+        ids = data.draw(st.lists(st.integers(-2, vocab.size + 1), max_size=40))
+        try:
+            want = reference_decode(ids, vocab)
+        except ValueError as exc:
+            bad = next(i for i in ids if not 0 <= i < vocab.size)
+            with pytest.raises(ValueError, match=f"token id {bad} out of range") as got:
+                decode_tokens(iter(ids), vocab)
+            assert str(got.value) == str(exc)
+        else:
+            assert decode_tokens(iter(ids), vocab) == decode_tokens(ids, vocab) == want
+
+    @pytest.mark.parametrize("bad", [-1, 6, 10 ** 20, np.int64(-3), np.uint32(99)])
+    def test_an_id_out_of_range_is_named(self, bad):
+        vocab = build_vocab("abc")
+        with pytest.raises(ValueError, match=f"token id {bad} out of range"):
+            decode_tokens([3, BOS_ID, bad, 4], vocab)
+
+    def test_numpy_ids_decode_as_ints(self):
+        vocab = build_vocab("abc")
+        ids = [BOS_ID, 3, UNK_ID, 5, EOS_ID]
+        assert decode_tokens(np.array(ids), vocab) == decode_tokens(ids, vocab) == "ac"
+
+
 class TestDistribution:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):

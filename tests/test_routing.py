@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -146,6 +148,73 @@ class TestReferenceDetector:
     @given(mixes, hint_sets)
     def test_mixed_text(self, text, hints):
         assert detect_source_language(text, hints) == reference_detect(text, hints)
+
+
+# The detector as it was before it counted scripts in one pass: one regex per
+# script, each finding every match, and each language's markers joined with
+# its hints on every call.
+_FOUR_SCRIPTS = {
+    "latin": re.compile(r"[A-Za-z\u00C0-\u00D6\u00D8-\u00F6\u00F8-\u024F]"),
+    "cyrillic": re.compile(r"[\u0400-\u052F]"),
+    "kana": re.compile(r"[\u3040-\u30FF\u31F0-\u31FF]"),
+    "han": re.compile(r"[\u3400-\u4DBF\u4E00-\u9FFF]"),
+}
+
+
+def four_regex_detect(text, marker_hints=None):
+    hints = marker_hints or {}
+    counts = {script: len(chars.findall(text)) for script, chars in _FOUR_SCRIPTS.items()}
+    latin, cyrillic, cjk = counts["latin"], counts["cyrillic"], counts["kana"] + counts["han"]
+    if latin == cyrillic == cjk == 0:
+        return None
+    top = max(latin, cyrillic, cjk)
+    if cjk == top:
+        return "ja" if counts["kana"] > 0 else "zh"
+    if cyrillic == top:
+        return "ru"
+    scores = {lang: sum(map(text.count, markers.union(hints.get(lang, ""))))
+              for lang, (markers, _) in LATIN_LANGUAGES.items()}
+    best = max(scores, key=scores.get)
+    if scores[best]:
+        return best
+    words = {w.strip(".,;:!?\"'()") for w in text.lower().split()}
+    votes = {lang: len(words & function_words)
+             for lang, (_, function_words) in LATIN_LANGUAGES.items()}
+    best = max(votes, key=votes.get)
+    return best if votes[best] else "en"
+
+
+# Runs of one script's characters, or of none: Latin (markers included),
+# Cyrillic, kana, han, other letters and symbols, and the separators words
+# split on.
+SCRIPT_RUN_CHARS = [
+    st.characters(min_codepoint=0x41, max_codepoint=0x24F),
+    st.characters(min_codepoint=0x3FF, max_codepoint=0x530),
+    st.characters(min_codepoint=0x303F, max_codepoint=0x3200),
+    st.characters(min_codepoint=0x33FF, max_codepoint=0x4DC0)
+    | st.characters(min_codepoint=0x4DFF, max_codepoint=0xA000),
+    st.characters(codec="utf-8"),
+    st.sampled_from(" \t\n.,!?()\"'"),
+]
+script_mixes = st.lists(st.one_of(*(st.text(chars, max_size=6) for chars in SCRIPT_RUN_CHARS))
+                        | st.sampled_from(MIX_WORDS), max_size=12).map("".join)
+
+
+class TestScriptRuns:
+    """detect_source_language counts the four scripts in one pass over the
+    text; it must decide every text as the four-regex version does."""
+
+    @settings(max_examples=400)
+    @given(script_mixes, hint_sets)
+    def test_mixed_scripts_equal_the_four_regex_version(self, text, hints):
+        assert detect_source_language(text, hints) == four_regex_detect(text, hints)
+        assert detect_source_language(text) == four_regex_detect(text)
+
+    def test_long_runs_and_every_script_at_once(self):
+        for text in ("a" * 5000 + "ж" * 4999, "ж" * 5000 + "日" * 2500 + "カ" * 2500,
+                     "äb" * 300 + "é" * 301, "日本" * 100 + "a" * 200, "x.y" * 1000):
+            for hints in (None, {"fr": "b"}, {"de": "y", "fr": "x"}):
+                assert detect_source_language(text, hints) == four_regex_detect(text, hints)
 
 
 class TestMarkerHints:

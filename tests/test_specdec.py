@@ -297,6 +297,141 @@ class TestDraftTable:
             assert len(m._draft_rows[temperature]) == limit
 
 
+class TestDraftCodeShape:
+    """Each drafter works out its context code's shape once: |V|, order - 1
+    and the place value of the oldest id. draft reads it; it must draft what
+    the reference drafts, whether a row is in the table, is not yet, or may
+    not be kept."""
+
+    @pytest.mark.parametrize("order,top", [(1, lambda size: 0), (2, lambda size: 1),
+                                           (4, lambda size: size ** 2)],
+                             ids=["order1", "order2", "order4"])
+    @pytest.mark.parametrize("temperature", [0.0, 0.7])
+    def test_draft_equals_the_reference_on_hits_misses_and_uncoded_contexts(
+            self, order, top, temperature):
+        vocab = build_vocab(DRAFT_ALPHABET)
+        drafter = pretrain(Corpus((("ab", "cab"), ("c", "abca"), ("", "bb"))), order, k=0.2,
+                           vocab=vocab)
+        size = vocab.size
+        assert drafter._code_shape == (size, order - 1, top(size))
+        # The last order - 1 ids give the code, so an id of no code further
+        # back does not matter.
+        contexts = ([], [3], [4, 5], [0, 1, 2, 3, 4, 5, 3], [np.int64(4)], np.array([3, 4, 5]),
+                    [3, size], [size + 7, 4, 5])
+        uncoded = 0
+        for context in contexts:
+            for draft_len in (1, 3, 6):
+                for seed in range(3):
+                    # The first call may miss and keep its rows; the second
+                    # reads them, unless the context has no code.
+                    got = assert_drafts_like_reference(drafter, context, draft_len,
+                                                       temperature, seed)
+                    built = []
+                    drafter.next_dist = lambda ctx: built.append(ctx) or \
+                        NGramModel.next_dist(drafter, ctx)
+                    draft(drafter, context, draft_len, temperature, CountingUniforms(seed))
+                    del drafter.next_dist
+                    tail = list(context[-(order - 1):]) if order > 1 else []
+                    gets_a_code = all(type(i) is int and 0 <= i < size for i in tail)
+                    assert len(built) == (0 if gets_a_code else len(got))
+                    uncoded += not gets_a_code
+                    assert_drafts_like_reference(drafter, context, draft_len, temperature,
+                                                 seed)
+        assert drafter._draft_rows[temperature]
+        assert uncoded > 0 or order == 1
+
+    def test_the_shape_is_the_models_own(self, tmp_path):
+        m = chain_model("abcabd", order=3, k=0.3)
+        save_model(m, tmp_path / "m.model")
+        size = m.vocab.size
+        for twin in (copy.copy(m), pickle.loads(pickle.dumps(m)),
+                     finetune(m, Corpus((("a", "bd"),))), load_model(tmp_path / "m.model")):
+            assert twin._code_shape == m._code_shape == (size, 2, size)
+
+
+def reference_verify_greedy(d, rows):
+    """Greedy verification over eager rows: accept while each draft token is
+    its row's argmax."""
+    for j, token in enumerate(d.tokens):
+        if token != argmax(rows[j]):
+            return j, argmax(rows[j])
+    return len(d), argmax(rows[len(d)])
+
+
+def reference_verify_stochastic(d, rows, rng):
+    """Rejection-sampling verification over eager rows, one uniform per
+    examined position, then one for the correction or bonus token."""
+    for j, token in enumerate(d.tokens):
+        p, q = d.dists[j], rows[j]
+        if rng.random() < q.p(token) / p.p(token):
+            continue
+        try:
+            residual = residual_dist(q, p)
+        except ValueError:
+            residual = q
+        return j, sample(residual, rng)
+    return len(d), sample(rows[len(d)], rng)
+
+
+class TestVerifierRows:
+    """The verifiers score score_parallel's own rows from the target, and read
+    any other rows by index; either way they decide as the reference does on
+    the eager rows, drawing the same uniforms."""
+
+    def cases(self):
+        vocab = build_vocab(DRAFT_ALPHABET)
+        records = (("ab", "cabcab"), ("c", "abcacb"), ("", "bbca"), ("ba", "cc"))
+        for order in (1, 2, 3, 5):
+            target = pretrain(Corpus(records), order, k=0.05, vocab=vocab)
+            drafter = pretrain(Corpus(records[:2]), 2, k=0.3, vocab=vocab)
+            for context in ([], [4], [3, 4, 5, 3, 4], np.array([5, 4, 3]), [3, vocab.size]):
+                for seed in range(4):
+                    yield target, drafter, context, seed
+
+    def eager(self, target, context, d, temperature):
+        return [apply_temperature(target.next_dist([*context, *d.tokens[:j]]), temperature)
+                for j in range(len(d) + 1)]
+
+    def test_rows_of_an_equal_but_distinct_token_tuple_are_scored_not_indexed(
+            self, monkeypatch):
+        cases = list(self.cases())
+        monkeypatch.setattr(specdec._TargetRows, "__getitem__", None)
+        monkeypatch.setattr(specdec._TargetRows, "__len__", None)
+        for target, drafter, context, seed in cases:
+            for temperature in (0.0, 0.7, 1.0):
+                d = draft(drafter, context, 5, temperature, make_rng(seed, DRAFT_STREAM))
+                twin = Draft(tuple(list(d.tokens)), d.dists)
+                assert twin.tokens == d.tokens and twin.tokens is not d.tokens
+                rows = score_parallel(target, context, twin, temperature)
+                want = self.eager(target, context, d, temperature)
+                if temperature == 0.0:
+                    assert verify_greedy(d, rows) == reference_verify_greedy(d, want)
+                rng, ref_rng = CountingUniforms(seed), CountingUniforms(seed)
+                assert verify_stochastic(d, rows, rng) == \
+                    reference_verify_stochastic(d, want, ref_rng)
+                assert rng.drawn == ref_rng.drawn
+
+    def test_caller_rows_are_read_by_index(self):
+        for target, drafter, context, seed in self.cases():
+            for temperature in (0.0, 0.7):
+                d = draft(drafter, context, 5, temperature, make_rng(seed, DRAFT_STREAM))
+                want = self.eager(target, context, d, temperature)
+                other = Draft((*d.tokens[:-1], 3 if d.tokens[-1] != 3 else 4),
+                              (*d.dists[:-1], Distribution(np.full(len(want[0]),
+                                                                   1 / len(want[0])))))
+                # A list, a tuple, and score_parallel's rows for other tokens,
+                # read by index as any sequence is.
+                for rows in (want, tuple(want), score_parallel(target, context, other, 1.0)):
+                    expect = [rows[j] for j in range(len(d) + 1)]
+                    assert verify_greedy(d, rows) == reference_verify_greedy(d, expect)
+                    rng, ref_rng = CountingUniforms(seed), CountingUniforms(seed)
+                    assert verify_stochastic(d, rows, rng) == \
+                        reference_verify_stochastic(d, expect, ref_rng)
+                    assert rng.drawn == ref_rng.drawn
+                with pytest.raises(ValueError, match="len\\(draft\\) \\+ 1"):
+                    verify_greedy(d, want[:-1])
+
+
 class TestScoreParallel:
     def test_returns_len_plus_one(self):
         m = chain_model("ab")
