@@ -12,14 +12,17 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from ._version import __version__
-from .core import (FormatError, build_vocab, decode_tokens, encode, load_vocab, read_sections,
-                   save_vocab)
+from .core import (FormatError, build_vocab, check_temperature, decode_tokens, encode, load_vocab,
+                   read_sections, save_vocab)
 from .lm import (
     Corpus,
     ModelVersionError,
+    check_order,
+    check_positive,
     finetune,
     load_corpus,
     load_model,
@@ -160,13 +163,33 @@ def _draft_len(raw: str) -> int:
     return value
 
 
+def _checked(parse, check):
+    """parse, then the library's own check of the value it returns."""
+    def parse_checked(raw):
+        value = parse(raw)
+        check(value)
+        return value
+    return parse_checked
+
+
+_order = _checked(int, check_order)
+_smoothing = _checked(float, partial(check_positive, "smoothing k"))
+_weight = _checked(float, partial(check_positive, "finetune weight"))
+_temperature = _checked(float, check_temperature)
+
+
+def _temperatures(raw: str) -> tuple[float, ...]:
+    return tuple(map(_temperature, raw.split(",")))
+
+
 def _note(message: str) -> None:
     print(message, file=sys.stderr)
 
 
 def _training_corpus(args) -> Corpus:
     """The --corpus records, instruction-wrapped and without empty completions
-    when --task-prompts and --skip-empty ask for it."""
+    when --task-prompts and --skip-empty ask for it. None left is an invalid
+    --corpus, as training on nothing would write an untrained or unchanged model."""
     corpus = load_corpus(args.corpus)
     if args.task_prompts:
         corpus = with_task_prompts(corpus)
@@ -175,6 +198,9 @@ def _training_corpus(args) -> Corpus:
         if len(kept) < len(corpus):
             _note(f"note: skipped {len(corpus) - len(kept)} record(s) with empty completions")
         corpus = kept
+    if not corpus.records:
+        raise ValueError(f"--corpus (config key corpus): {args.corpus} leaves no record to "
+                         f"train on")
     return corpus
 
 
@@ -205,7 +231,7 @@ def cmd_train_finetune(args) -> int:
     corpus = _training_corpus(args)
     if args.max_tokens is not None:
         kept = truncate_corpus(corpus, args.max_tokens)
-        if corpus.records and not kept.records:
+        if not kept.records:
             raise ValueError(f"--max-tokens (config key max_tokens): {args.max_tokens} keeps "
                              f"no record of the corpus")
         corpus = kept
@@ -366,8 +392,8 @@ def build_parser() -> argparse.ArgumentParser:
     train_sub = train.add_subparsers(dest="subcmd", required=True)
     tp = train_sub.add_parser("pretrain", parents=[common], help="train a model from scratch")
     tp.add_argument("--corpus", help="training corpus TSV")
-    tp.add_argument("--order", type=int, help="n-gram order, 1 to 64")
-    tp.add_argument("--k", type=float, help="add-k smoothing constant")
+    tp.add_argument("--order", type=_order, help="n-gram order, 1 to 64")
+    tp.add_argument("--k", type=_smoothing, help="add-k smoothing constant")
     tp.add_argument("--vocab", help="shared vocabulary file (default: build from corpus)")
     tp.add_argument("--out", help="output model file")
     tp.add_argument("--task-prompts", action="store_true",
@@ -379,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     tf = train_sub.add_parser("finetune", parents=[common], help="finetune an existing model")
     tf.add_argument("--model", help="input model file")
     tf.add_argument("--corpus", help="finetuning corpus TSV")
-    tf.add_argument("--weight", type=float, help="count weight")
+    tf.add_argument("--weight", type=_weight, help="count weight")
     tf.add_argument("--max-tokens", type=_count, dest="max_tokens",
                     help="truncate the corpus to this many tokens")
     tf.add_argument("--out", help="output model file")
@@ -394,7 +420,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="generate a drafter training corpus from a target model")
     ds.add_argument("--target", help="target model file")
     ds.add_argument("--prompts", help="prompt corpus TSV (source texts)")
-    ds.add_argument("--temps", type=_floats, help="temperature schedule")
+    ds.add_argument("--temps", type=_temperatures, help="temperature schedule")
     ds.add_argument("--samples", type=_count, help="samples per nonzero temperature")
     ds.add_argument("--max-len", type=_count, dest="max_len", help="max completion length")
     ds.add_argument("--wrapper", type=check_wrapper,
@@ -409,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     dc.add_argument("--target", help="target model file")
     dc.add_argument("--drafter", help="drafter model file")
     dc.add_argument("--prompt", help="prompt text, or '-' to read stdin")
-    dc.add_argument("--T", type=float, help="temperature")
+    dc.add_argument("--T", type=_temperature, help="temperature")
     dc.add_argument("--K", type=_draft_len, help="draft length")
     dc.add_argument("--max-new", type=_count, dest="max_new", help="max new tokens")
     dc.add_argument("--seed", type=int, help="base seed for all randomness")

@@ -44,9 +44,6 @@ TokenSequence = list[int]
 
 _SEED_MASK = 0xFFFF_FFFF_FFFF_FFFF
 
-# Above every Unicode code point; ends encode_array's lookup table.
-_NO_CODE_POINT = 0xFFFF_FFFF
-
 
 class FormatError(ValueError):
     """A file or stream violates one of the documented on-disk formats."""
@@ -104,9 +101,8 @@ class Vocabulary:
 
     tokens: tuple[str, ...]
     _index: dict = field(init=False, repr=False, compare=False)
-    # encode_array's lookup table: the sorted code points of the non-reserved
-    # tokens, then _NO_CODE_POINT, and each one's id (<unk> for the last).
-    _code_table: tuple = field(init=False, repr=False, compare=False)
+    # encode_array's code-point table, filled on its first call.
+    _code_ids: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         tokens = tuple(self.tokens)
@@ -122,10 +118,6 @@ class Vocabulary:
                 raise ValueError(f"duplicate token {tok!r} in vocabulary")
             index[tok] = i
         object.__setattr__(self, "_index", index)
-        single = sorted((ord(tok), i) for i, tok in enumerate(tokens[3:], 3))
-        single.append((_NO_CODE_POINT, UNK_ID))
-        points, ids = (np.array(column, dtype="<u4") for column in zip(*single))
-        object.__setattr__(self, "_code_table", (points, ids))
 
     @property
     def size(self) -> int:
@@ -164,14 +156,21 @@ def encode(text: str, vocab: Vocabulary) -> TokenSequence:
 def encode_array(text: str, vocab: Vocabulary) -> np.ndarray:
     """``encode(text, vocab)`` as a uint32 array, computed in bulk.
 
-    Each scalar value, lone surrogates included, is one UTF-32 code unit. The
-    reserved tokens never match one; a value outside the vocabulary maps to <unk>.
-    """
+    Each scalar value, lone surrogates included, is one UTF-32 code unit that
+    indexes the vocabulary's code-point table: each token's id at its code
+    point, <unk> at every other and at one more past the largest, where larger
+    code points are clipped. The first call builds the table and keeps it on
+    the vocabulary (two threads building it at once store equal tables): 4
+    bytes per code point up to the largest token's, 4.4 KB for U+044F and
+    4.4 MB for a vocabulary that holds U+10FFFF."""
+    table = vocab._code_ids
+    if table is None:
+        points = [ord(tok) for tok in vocab.tokens[3:]]
+        table = np.full(max(points, default=-1) + 2, UNK_ID, dtype="<u4")
+        table[points] = np.arange(3, vocab.size, dtype="<u4")
+        object.__setattr__(vocab, "_code_ids", table)
     codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-    points, ids = vocab._code_table
-    # The last point lies above every code point, so each position is in range.
-    at = np.searchsorted(points, codes)
-    return np.where(points[at] == codes, ids[at], UNK_ID)
+    return table.take(codes, mode="clip")
 
 
 def decode_tokens(ids: Iterable[int], vocab: Vocabulary) -> str:

@@ -63,6 +63,19 @@ _EXACT_INT = 2 ** 53
 _GROUP_LINES = 1024
 
 
+def check_order(order: int) -> None:
+    """Reject an n-gram order outside 1 to MAX_ORDER."""
+    if not 1 <= order <= MAX_ORDER:
+        raise ValueError(f"order must be between 1 and {MAX_ORDER}, got {order}")
+
+
+def check_positive(name: str, value: float) -> None:
+    """Reject a smoothing k or count weight, named by name, that is not
+    finite and > 0."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
 def _total_is_finite(k_total: float, per_tok: dict) -> bool:
     """Whether k_total = k * |V| plus the fsum of a context's counts, the
     denominator next_dist divides by, is finite. Within a hair of the largest
@@ -135,10 +148,8 @@ class NGramModel:
 
     def __init__(self, order: int, k: float, vocab: Vocabulary,
                  counts: Optional[dict] = None, provenance: str = "untrained"):
-        if not 1 <= order <= MAX_ORDER:
-            raise ValueError(f"order must be between 1 and {MAX_ORDER}, got {order}")
-        if not 0.0 < k < math.inf:
-            raise ValueError(f"smoothing k must be finite and > 0, got {k!r}")
+        check_order(order)
+        check_positive("smoothing k", k)
         if k * vocab.size == math.inf:  # every context's total would pass the largest float
             raise ValueError(f"smoothing k = {k!r} times the vocabulary size {vocab.size} "
                              f"passes the largest float")
@@ -358,8 +369,7 @@ def finetune(model: NGramModel, corpus: Corpus, weight: float = 1.0) -> NGramMod
     The input model is left untouched. Unknown characters in the corpus encode
     to <unk> under the model's vocabulary.
     """
-    if not 0.0 < weight < math.inf:
-        raise ValueError(f"finetune weight must be finite and > 0, got {weight!r}")
+    check_positive("finetune weight", weight)
     tag = f"{corpus.langs[0]}-{corpus.langs[1]}" if corpus.langs else "untagged"
     tuned = NGramModel(model.order, model.k, model.vocab, {},
                        provenance=f"{model.provenance};finetuned:{tag}")

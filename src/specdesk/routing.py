@@ -32,6 +32,10 @@ LATIN_LANGUAGES = {
            frozenset("le la les des une est et dans que pour je vous bonjour avec".split())),
     "en": (frozenset(), frozenset("the a an and is are of to in it this that with for".split())),
 }
+_FUNCTION_WORDS = frozenset().union(*(words for _, words in LATIN_LANGUAGES.values()))
+
+# A word as str.split() cuts it: re's \s is exactly str.isspace().
+_WORDS = re.compile(r"\S+")
 
 
 @dataclass
@@ -121,7 +125,10 @@ def detect_source_language(text: str, marker_hints: Optional[dict] = None) -> Op
                     for lang, (markers, _) in LATIN_LANGUAGES.items()})
     if marked is not None:
         return marked
-    words = {w.strip(".,;:!?\"'()") for w in text.lower().split()}
+    # One word at a time, and only function words are kept, so no list or set
+    # grows with the text.
+    words = {word for run in _WORDS.finditer(text)
+             if (word := run.group().lower().strip(".,;:!?\"'()")) in _FUNCTION_WORDS}
     return _vote({lang: len(words & function_words)
                   for lang, (_, function_words) in LATIN_LANGUAGES.items()}) or "en"
 

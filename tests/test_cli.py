@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import specdesk
-from specdesk import load_corpus, load_model, save_corpus, save_model, specdec
+from specdesk import (Corpus, DistillJob, NGramModel, SpecConfig, finetune, load_corpus,
+                      load_model, save_corpus, save_model, specdec)
 from specdesk.cli import EXIT_INTERNAL, build_parser, main
 from specdesk.core import build_vocab, vocab_lines
 
@@ -496,7 +497,13 @@ class TestConfigKeys:
         (("decode",), "--K", "0", "must be >= 1, got 0"),
         (("decode",), "--K", "1025", "must be at most 1024, got 1025"),
         (("decode",), "--max-new", "0", "must be >= 1, got 0"),
-    ], ids=["samples", "max-len", "max-tokens", "K-low", "K-high", "max-new"])
+        (("decode",), "--T", "-1", "temperature must be finite and >= 0, got -1.0"),
+        (("distill",), "--temps", "0.0,-0.5", "temperature must be finite and >= 0, got -0.5"),
+        (("train", "finetune"), "--weight", "0", "finetune weight must be finite and > 0, got 0.0"),
+        (("train", "pretrain"), "--k", "0", "smoothing k must be finite and > 0, got 0.0"),
+        (("train", "pretrain"), "--order", "0", "order must be between 1 and 64, got 0"),
+    ], ids=["samples", "max-len", "max-tokens", "K-low", "K-high", "max-new", "T", "temps",
+            "weight", "k", "order"])
     def test_out_of_range_value_names_its_flag_and_key(self, ws, capsys, command, flag, bad,
                                                        reason):
         pairs, extra = CONFIG_CASES[command]
@@ -519,6 +526,23 @@ class TestConfigKeys:
                        extra) == want
         rest = {f: v for f, v in flags.items() if f != "--max-tokens"}
         assert _run_in(ws, capsys, ("train", "finetune"), rest, extra, {"max_tokens": "1"}) == want
+
+    @pytest.mark.parametrize("command", [("train", "pretrain"), ("train", "finetune")],
+                             ids=" ".join)
+    @pytest.mark.parametrize("records,extra,note", [
+        ("", (), ""),
+        ("Hallo\t\nja\t\n", ("--skip-empty",),
+         "note: skipped 2 record(s) with empty completions\n"),
+    ], ids=["headers-only", "skip-empty"])
+    def test_corpus_with_no_record_to_train_on_is_6_and_writes_nothing(
+            self, ws, capsys, command, records, extra, note):
+        (ws / "none.tsv").write_text(f"#langs=de,en\n{records}", encoding="utf-8")
+        pairs, _ = CONFIG_CASES[command]
+        flags = {f: v[0] for f, v in pairs.items() if f != "--corpus"}
+        want = (6, "", f"{note}error: invalid: --corpus (config key corpus): none.tsv leaves no "
+                       f"record to train on\n", None, None)
+        assert _run_in(ws, capsys, command, {**flags, "--corpus": "none.tsv"}, extra) == want
+        assert _run_in(ws, capsys, command, flags, extra, {"corpus": "none.tsv"}) == want
 
     @pytest.mark.parametrize("command", CONFIG_CASES, ids=" ".join)
     def test_unknown_key_is_4(self, ws, capsys, command):
@@ -1013,6 +1037,56 @@ class TestFlagFuzz:
         assert value_flags - fuzzed == {"--config", "--corpus", "--vocab", "--out", "--model",
                                         "--target", "--prompts", "--wrapper", "--drafter",
                                         "--prompt", "--out-dir", "--registry", "--text"}
+
+
+# Each range-checked value flag: its raw values, how the library reads one,
+# and the library call whose check the flag's parser runs.
+_RANGE_VOCAB = build_vocab("ab")
+_RANGE_MODEL = NGramModel(2, 0.5, _RANGE_VOCAB)
+float_spellings = (st.floats(-1e6, 1e6).map(repr)
+                   | st.sampled_from(["nan", "inf", "-inf", "-0.0", "0", "1e400", "5e-324"]))
+RANGE_CHECKED = {
+    "--order": (st.integers(-3, 70).map(str), int, lambda v: NGramModel(v, 0.5, _RANGE_VOCAB)),
+    "--k": (float_spellings, float, lambda v: NGramModel(2, v, _RANGE_VOCAB)),
+    "--weight": (float_spellings, float,
+                 lambda v: finetune(_RANGE_MODEL, Corpus((("", "a"),)), v)),
+    "--T": (float_spellings, float, lambda v: SpecConfig(temperature=v)),
+    "--temps": (st.lists(float_spellings, min_size=1, max_size=3).map(",".join),
+                lambda raw: tuple(map(float, raw.split(","))),
+                lambda v: DistillJob(_RANGE_MODEL, Corpus((("", "a"),)), temperatures=v)),
+}
+
+
+class TestRangeCheckedFlags:
+    """A range-checked value flag rejects what the library rejects, with the
+    library's words after the flag and its config key, before any input is
+    read, and passes on every value the library takes."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_flag_rejects_what_the_library_rejects(self, ws, data):
+        flag = data.draw(st.sampled_from(sorted(RANGE_CHECKED)))
+        spellings, read, library = RANGE_CHECKED[flag]
+        raw = data.draw(spellings)
+        try:
+            library(read(raw))
+        except ValueError as exc:
+            want = f"error: invalid: {flag} (config key {flag[2:]}): {exc}\n"
+        else:
+            want = None
+        with tempfile.TemporaryDirectory() as tmp:
+            command, values = next((command, values) for command, values
+                                   in flag_commands(ws, Path(tmp)).items() if flag in values)
+            argv = [*command, *(f"{f}={v}" for f, v in {**values, flag: raw}.items())]
+            if want is None:
+                args = build_parser().parse_args(argv)
+                assert args.parsers[flag[2:]](raw) == read(raw)
+                return
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(argv)
+            assert (code, stdout.getvalue(), stderr.getvalue()) == (6, "", want)
+            assert [p.name for p in Path(tmp).iterdir()] == ["grid.cfg"]
 
 
 def _subcommand_actions(parser):

@@ -154,13 +154,15 @@ class TestEncodeDecode:
         v = build_vocab("abcxyz éж")
         assert decode_tokens(encode(text, v), v) == text
 
-    # Lone surrogates, a non-BMP character, reserved-token text and
-    # characters outside the vocabulary.
+    # Lone surrogates, non-BMP characters up to the last code point,
+    # reserved-token text and characters outside the vocabulary. A vocabulary
+    # that holds U+10FFFF has a table of every code point; the others clip it.
     BULK_ALPHABET = ["a", "b", "<", "o", "s", ">", "ж", chr(0x1F600), chr(0xD83D),
-                     chr(0xDE00), chr(0xDFFF), "z", "\n"]
+                     chr(0xDE00), chr(0xDFFF), "z", "\n", chr(0x10FFFF)]
 
     @given(st.text(alphabet=st.sampled_from(BULK_ALPHABET), max_size=60),
-           st.sampled_from(["", "ab<", "ab" + chr(0x1F600) + chr(0xD83D), "bos>ж\n"]))
+           st.sampled_from(["", "ab<", "ab" + chr(0x1F600) + chr(0xD83D),
+                            "bos>ж\n" + chr(0x10FFFF)]))
     def test_encode_array_equals_encode(self, text, known):
         v = build_vocab(known)
         ids = encode_array(text, v)

@@ -22,8 +22,10 @@ from specdesk import (
     ModelVersionError,
     NGramModel,
     SamplerConfig,
+    SpecConfig,
     argmax,
     build_vocab,
+    decode_speculative,
     decode_tokens,
     encode,
     finetune,
@@ -370,6 +372,40 @@ WIDE_CHARS = ["a", "b", "z", "\u4e00", "\u4e01", chr(0x4E00 + 4_999), "<bos>"]
 wide_text = st.lists(st.sampled_from(WIDE_CHARS), max_size=10).map("".join)
 wide_record = st.tuples(wide_text, wide_text.filter(bool))
 WIDE_VOCAB = build_vocab(["ab" + "".join(map(chr, range(0x4E00, 0x4E00 + 5_000)))])
+
+
+class TestCodePointTable:
+    """encode_array builds a vocabulary's code-point table on its first call
+    and reuses it; loading and decoding never build one."""
+
+    def test_training_builds_the_table_once_per_vocabulary(self):
+        vocab = build_vocab("abж")
+        tables = []
+
+        def recording(text, vocab):
+            ids = encode_array(text, vocab)
+            tables.append(vocab._code_ids)
+            return ids
+
+        corpus = Corpus((("ab", "жa"), ("b", "a")) * 4)
+        with mock.patch.object(lm, "encode_array", recording), \
+                mock.patch.object(lm, "_CHUNK_CHARS", 5):
+            finetune(pretrain(corpus, 2, vocab=vocab), corpus, 0.5)
+        assert len(tables) == 8
+        assert all(table is tables[0] for table in tables)
+        assert tables[0].tolist() == [2] * 0x61 + [3, 4] + [2] * (0x436 - 0x63) + [5, 2]
+
+    def test_load_and_decode_build_no_table(self, tmp_path):
+        corpus = Corpus((("Hallo ", "hello"), ("ja ", "yes")))
+        target, drafter = pretrain(corpus, 3), pretrain(corpus, 2)
+        save_model(target, tmp_path / "t.model")
+        save_model(drafter, tmp_path / "d.model")
+        target, drafter = load_model(tmp_path / "t.model"), load_model(tmp_path / "d.model")
+        for temperature in (0.0, 0.7):
+            decode_speculative(target, drafter, encode("Hallo ", target.vocab),
+                               SpecConfig(draft_len=3, temperature=temperature,
+                                          max_new_tokens=8, seed=1))
+        assert target.vocab._code_ids is None and drafter.vocab._code_ids is None
 
 
 class TestBulkCounting:

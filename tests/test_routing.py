@@ -1,4 +1,6 @@
 import re
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -215,6 +217,59 @@ class TestScriptRuns:
                      "äb" * 300 + "é" * 301, "日本" * 100 + "a" * 200, "x.y" * 1000):
             for hints in (None, {"fr": "b"}, {"de": "y", "fr": "x"}):
                 assert detect_source_language(text, hints) == four_regex_detect(text, hints)
+
+
+def reference_function_word_vote(text):
+    """The function-word step as it was defined before it scanned one word at a
+    time: the set of the lowered text's words, each stripped of punctuation,
+    and the first language in table order with the most function words among
+    them, else English."""
+    words = {w.strip(".,;:!?\"'()") for w in text.lower().split()}
+    votes = {lang: len(words & function_words)
+             for lang, (_, function_words) in LATIN_LANGUAGES.items()}
+    best = max(votes, key=votes.get)
+    return best if votes[best] else "en"
+
+
+MARKERS = set().union(*(markers for markers, _ in LATIN_LANGUAGES.values()))
+UNICODE_SPACES = [chr(o) for o in range(sys.maxunicode + 1) if chr(o).isspace()]
+# Function words without a marker, each lower, upper or title case; letters
+# whose lower case is longer or depends on their neighbours (final sigma);
+# and the punctuation the step strips.
+FUNCTION_WORD_PIECES = st.sampled_from(
+    [w for _, words in LATIN_LANGUAGES.values() for w in sorted(words)
+     if not MARKERS & set(w)]).flatmap(
+    lambda w: st.sampled_from([w, w.upper(), w.title()]))
+function_word_texts = st.lists(
+    FUNCTION_WORD_PIECES | st.sampled_from(UNICODE_SPACES)
+    | st.sampled_from(list(".,;:!?\"'()") + ["x", "İ", "Σ", "ǅ", "ẞ", "-"]),
+    max_size=16).map(lambda pieces: "x " + "".join(pieces))
+
+
+class TestFunctionWords:
+    """Latin text with no marker is decided by its function words, scanned
+    one word at a time: the same vote as the whole-text definition, in
+    memory that does not grow with the text."""
+
+    @settings(max_examples=400)
+    @given(function_word_texts)
+    def test_equals_the_whole_text_definition(self, text):
+        assert detect_source_language(text) == reference_function_word_vote(text)
+
+    def test_mixed_case_punctuation_and_unicode_spaces(self):
+        assert detect_source_language("x\u3000(LE)\x1cLa.\u2028THE") == "fr"
+        assert detect_source_language("x Die,\x85das\u00a0the") == "de"
+        assert detect_source_language("x die-das the") == "en"
+
+    def test_memory_stays_bounded(self):
+        text = "hello world " * 100_000  # 1.2 MB
+        tracemalloc.start()
+        try:
+            assert detect_source_language(text) == "en"
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
 
 class TestMarkerHints:
