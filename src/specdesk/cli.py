@@ -23,6 +23,7 @@ from .lm import (
     ModelVersionError,
     check_order,
     check_positive,
+    check_smoothing,
     finetune,
     load_corpus,
     load_model,
@@ -219,7 +220,10 @@ def cmd_vocab_build(args) -> int:
 
 def cmd_train_pretrain(args) -> int:
     corpus = _training_corpus(args)
-    vocab = load_vocab(args.vocab) if args.vocab else None
+    vocab = (load_vocab(args.vocab) if args.vocab
+             else build_vocab(text for record in corpus for text in record))
+    # k * |V| can pass the largest float, which only the vocabulary shows.
+    _naming("--k (config key k)", partial(check_smoothing, vocab_size=vocab.size))(args.k)
     model = pretrain(corpus, order=args.order, k=args.k, vocab=vocab)
     save_model(model, args.out)
     _note(f"wrote {args.out} (order={args.order}, k={args.k}, {len(corpus)} records)")
@@ -272,24 +276,33 @@ def _load_named(section: dict, what: str, load) -> dict:
     return {name: load(path) for name, path in section.items()}
 
 
-# [grid]/[scaling] evaluation keys -> (library argument, parser). Only the keys
-# a config sets are passed, so an omitted key takes the library default.
+def _knob(name: str, parse):
+    """name and parse, checked as EvalConfig checks its knob name when every
+    other knob keeps its default."""
+    return name, _checked(parse, lambda value: EvalConfig(**{name: value}))
+
+
+# [grid]/[scaling] evaluation keys -> (library argument, parser). Each parser
+# runs the library's own check of the value, so an out-of-range value names
+# its key before any file is read. Only the keys a config sets are passed, so
+# an omitted key takes the library default.
 _EVAL_KEYS = {
-    "K": ("draft_len", int),
-    "temps": ("temperatures", _floats),
-    "temperature": ("temperature", float),
-    "seeds": ("seeds", _ints),
-    "max_new": ("max_new_tokens", int),
-    "max_prompts": ("max_prompts", int),
+    "K": _knob("draft_len", int),
+    "temps": ("temperatures", _checked(_floats, partial(grid_configs, 1, seeds=(0,)))),
+    "temperature": _knob("temperature", float),
+    "seeds": _knob("seeds", _ints),
+    "max_new": _knob("max_new_tokens", int),
+    "max_prompts": _knob("max_prompts", int),
     "cost_c": ("cost", lambda raw: CostModel(float(raw))),
-    "weight": ("finetune_weight", float),
-    "budgets": ("token_budgets", _ints),
+    "weight": ("finetune_weight", _weight),
+    "budgets": ("token_budgets", _checked(_ints, check_budgets)),
 }
 
 
 def _bench_config(args, section: str, required: tuple[str, ...], keys: tuple[str, ...]):
     """The config, its [section], and library arguments for the evaluation keys
-    the section sets. A required key missing exits 2, a key not read exits 4."""
+    the section sets. A required key missing exits 2, a key not read exits 4
+    and a value its parser or check rejects exits 6, naming [section] key."""
     if not args.config:
         raise UsageError(f"bench {args.subcmd} requires --config")
     config = parse_config(args.config)
@@ -309,13 +322,12 @@ def _bench_config(args, section: str, required: tuple[str, ...], keys: tuple[str
 def cmd_bench_grid(args) -> int:
     config, grid_cfg, kwargs = _bench_config(
         args, "grid", ("target",), ("K", "temps", "seeds", "max_new", "max_prompts", "cost_c"))
-    # run_grid checks jobs and the knobs too, but only after every file is read.
+    # run_grid checks jobs too, but only after every file is read.
     if args.jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {args.jobs}")
     # An axis the config leaves unset takes ExperimentGrid's default.
     axes = {k: kwargs.pop(k, getattr(ExperimentGrid, k))
             for k in ("draft_len", "temperatures", "seeds")}
-    grid_configs(**axes, **kwargs)
     target = load_model(grid_cfg["target"])
     drafters = _load_named(config.get("grid.drafters", {}), "drafter", load_model)
     corpora = _load_named(config.get("grid.corpora", {}), "corpus", load_corpus)
@@ -331,8 +343,7 @@ def cmd_bench_scaling(args) -> int:
     _, sc, kwargs = _bench_config(
         args, "scaling", ("target", "drafter", "corpus", "eval", "budgets"),
         ("budgets", "K", "temperature", "seeds", "max_new", "max_prompts", "cost_c", "weight"))
-    # scaling_curve checks these too, but only after every file is read.
-    budgets = check_budgets(kwargs.pop("token_budgets"))
+    budgets = kwargs.pop("token_budgets")
     cfg = EvalConfig(**kwargs)
     target = load_model(sc["target"])
     drafter_base = load_model(sc["drafter"])

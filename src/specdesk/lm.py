@@ -9,7 +9,6 @@ and a finetuned model is bit-reproducible from its inputs.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from typing import Iterator, Optional
@@ -41,7 +40,7 @@ from .core import (
 MODEL_FORMAT_VERSION = 1
 
 # The highest n-gram order a model may have, far above any useful character
-# model; training keys each window by its 4 * order bytes.
+# model; training merges groups of records by each window's 4 * order bytes.
 MAX_ORDER = 64
 
 # next_dist results are memoized per model; contexts repeat heavily during
@@ -49,9 +48,9 @@ MAX_ORDER = 64
 _DIST_CACHE_LIMIT = 200_000
 
 # Training encodes, packs and sorts records in groups of about this many
-# characters. Only a group's distinct windows reach the Python tally, so
-# larger groups tally fewer repeats, but the group's arrays, some tens of
-# bytes per character, grow with it.
+# characters. Only a group's distinct windows reach Python, so larger
+# groups pass fewer repeats, but the group's arrays, some tens of bytes per
+# character, grow with it.
 _CHUNK_CHARS = 65536
 
 # Below this, adding a whole number n to a whole-number float count is exact,
@@ -74,6 +73,15 @@ def check_positive(name: str, value: float) -> None:
     finite and > 0."""
     if not 0.0 < value < math.inf:
         raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+
+
+def check_smoothing(k: float, vocab_size: int) -> None:
+    """Reject a smoothing k that is not finite and > 0, or whose k * |V|,
+    part of every context's total, passes the largest float."""
+    check_positive("smoothing k", k)
+    if k * vocab_size == math.inf:
+        raise ValueError(f"smoothing k = {k!r} times the vocabulary size {vocab_size} "
+                         f"passes the largest float")
 
 
 def _total_is_finite(k_total: float, per_tok: dict) -> bool:
@@ -132,12 +140,6 @@ class Corpus:
         return Corpus(kept, self.langs, dict(self.meta))
 
 
-def _corpus_text(corpus: Corpus) -> Iterator[str]:
-    for prompt, completion in corpus.records:
-        yield prompt
-        yield completion
-
-
 class NGramModel:
     """Add-k smoothed n-gram model over a shared character vocabulary.
 
@@ -149,10 +151,7 @@ class NGramModel:
     def __init__(self, order: int, k: float, vocab: Vocabulary,
                  counts: Optional[dict] = None, provenance: str = "untrained"):
         check_order(order)
-        check_positive("smoothing k", k)
-        if k * vocab.size == math.inf:  # every context's total would pass the largest float
-            raise ValueError(f"smoothing k = {k!r} times the vocabulary size {vocab.size} "
-                             f"passes the largest float")
+        check_smoothing(k, vocab.size)
         counts = counts if counts is not None else {}
         # Checked here once, so next_dist can index by id unchecked and
         # save_model never writes a file load_model rejects.
@@ -181,8 +180,7 @@ class NGramModel:
         # The shape of a context's code, which specdec.draft keys its rows by:
         # |V|, order - 1 and the place value of the oldest id, |V| ** (order - 2),
         # or 0 when the context holds no id.
-        size = vocab.size
-        n1 = self.order - 1
+        size, n1 = vocab.size, self.order - 1
         self._code_shape = (size, n1, size ** (n1 - 1) if n1 else 0)
         # The add-k uniform every context without counts shares; it is kept
         # out of _dist_cache, so unseen contexts cost no cache entry.
@@ -198,19 +196,12 @@ class NGramModel:
     __hash__ = None
 
     def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_dist_cache"] = {}
-        state["_draft_rows"] = {}
-        return state
+        return {**self.__dict__, "_dist_cache": {}, "_draft_rows": {}}
 
     def _pad_context(self, context) -> tuple[int, ...]:
         n1 = self.order - 1
-        if n1 == 0:
-            return ()
-        tail = tuple(context[-n1:])
-        if len(tail) < n1:
-            tail = (BOS_ID,) * (n1 - len(tail)) + tail
-        return tail
+        tail = tuple(context[-n1:]) if n1 else ()
+        return (BOS_ID,) * (n1 - len(tail)) + tail
 
     def next_dist(self, context: TokenSequence) -> Distribution:
         """Add-k next-token distribution given the (padded) context:
@@ -238,9 +229,12 @@ class NGramModel:
 
 def _record_groups(corpus: Corpus) -> Iterator[list[str]]:
     """Each record's prompt+completion text, in groups of at least
-    _CHUNK_CHARS characters; the last group may hold fewer."""
+    _CHUNK_CHARS characters; the last group may hold fewer. A record with an
+    empty completion raises ValueError."""
     group, size = [], 0
-    for prompt, completion in corpus.records:
+    for i, (prompt, completion) in enumerate(corpus.records):
+        if completion == "":
+            raise ValueError(f"training record {i} has an empty completion")
         group.append(prompt + completion)
         size += len(group[-1])
         if size >= _CHUNK_CHARS:
@@ -276,61 +270,77 @@ def _padded_stream(texts: list[str], vocab: Vocabulary, order: int) -> np.ndarra
     return stream
 
 
+def _distinct_windows(texts: list[str], vocab: Vocabulary, order: int) -> tuple[np.ndarray, ...]:
+    """The distinct windows of the texts' padded stream, first seen first, as
+    an (m, order) id array, and how often each occurs."""
+    stream = _padded_stream(texts, vocab, order)
+    bits, n1 = (vocab.size - 1).bit_length(), order - 1
+    # Window i is stream[i:i + order]. Its code packs its ids, bits apiece,
+    # then i in the low pos_bits, so codes sort like windows, and equal
+    # windows by position. A code with no room for the next field is
+    # replaced by its dense rank, which sorts alike in fewer bits.
+    n = len(stream) - n1
+    pos_bits = (n - 1).bit_length()
+    code, used = np.zeros(n, np.uint64), 0
+    for j in range(order + 1):
+        width = bits if j < order else pos_bits
+        if used + width > 64:
+            code, used = _dense_rank(code)
+        code <<= width
+        code |= stream[j:j + n] if j < order else np.arange(n, dtype=np.uint64)
+        used += width
+    # <bos> is no one-character token, so encoded text never holds it and
+    # the windows that end on <bos> are exactly those that end on padding.
+    # Sorted, equal windows sit together, each run led by its first occurrence.
+    code = code[stream[n1:] != BOS_ID]
+    code.sort()
+    window = code >> pos_bits
+    starts = np.flatnonzero(np.r_[True, window[1:] != window[:-1]])
+    sizes = np.diff(starts, append=len(code))
+    first = (code[starts] & np.uint64((1 << pos_bits) - 1)).astype(np.intp)
+    seen = np.argsort(first)
+    return sliding_window_view(stream, order)[first[seen]], sizes[seen]
+
+
+def _corpus_windows(corpus: Corpus, vocab: Vocabulary, order: int) -> tuple[np.ndarray, ...]:
+    """_distinct_windows of the corpus, a group of records at a time. Several
+    groups are merged, each as it arrives, into a first-seen tally by window bytes."""
+    groups = (_distinct_windows(texts, vocab, order) for texts in _record_groups(corpus))
+    windows, sizes = next(groups, (np.zeros((0, order), "<u4"), np.zeros(0, np.int64)))
+    key = np.dtype((np.void, 4 * order))
+    tally: dict[bytes, int] = {}
+    for later in groups:
+        if not tally:
+            tally.update(zip(windows.view(key).ravel().tolist(), sizes.tolist()))
+        windows, sizes = later
+        for window, size in zip(windows.view(key).ravel().tolist(), sizes.tolist()):
+            tally[window] = tally.get(window, 0) + size
+    if not tally:
+        return windows, sizes
+    return (np.frombuffer(b"".join(tally), "<u4").reshape(-1, order),
+            np.fromiter(tally.values(), np.int64, len(tally)))
+
+
 def _accumulate(model: NGramModel, corpus: Corpus, weight: float) -> None:
     """Add weight for every (context, token) window of each record's
     <bos>-padded, <eos>-terminated stream to model.counts, as if one
     `+= weight` step were taken per window, record by record. The model must
     not have been published yet."""
-    for i, (_, completion) in enumerate(corpus.records):
-        if completion == "":
-            raise ValueError(f"training record {i} has an empty completion")
-    order = model.order
-    n1 = order - 1
-    bits = (model.vocab.size - 1).bit_length()
-    # A window's key is its raw bytes. The tally keeps keys in first-seen
-    # order, which is the order a window-by-window pass inserts contexts and,
-    # within each, tokens.
-    window_key = np.dtype((np.void, 4 * order))
-    tally: dict[bytes, int] = {}
-    for texts in _record_groups(corpus):
-        stream = _padded_stream(texts, model.vocab, order)
-        # Window i is stream[i:i + order]. Its code packs its ids, bits
-        # apiece, then i in the low pos_bits, so codes sort like windows, and
-        # equal windows by position. A code with no room for the next field
-        # is replaced by its dense rank, which sorts alike in fewer bits.
-        n = len(stream) - n1
-        pos_bits = (n - 1).bit_length()
-        code, used = np.zeros(n, np.uint64), 0
-        for j in range(order + 1):
-            width = bits if j < order else pos_bits
-            if used + width > 64:
-                code, used = _dense_rank(code)
-            code <<= width
-            code |= stream[j:j + n] if j < order else np.arange(n, dtype=np.uint64)
-            used += width
-        # <bos> is no one-character token, so encoded text never holds it and
-        # the windows that end on <bos> are exactly those that end on padding.
-        # Sorted, equal windows sit together, each run led by its first occurrence.
-        code = code[stream[n1:] != BOS_ID]
-        code.sort()
-        window = code >> pos_bits
-        starts = np.flatnonzero(np.r_[True, window[1:] != window[:-1]])
-        sizes = np.diff(starts, append=len(code))
-        first = (code[starts] & np.uint64((1 << pos_bits) - 1)).astype(np.intp)
-        seen = np.argsort(first)  # the group's distinct windows, first seen first
-        keys = sliding_window_view(stream, order)[first[seen]].view(window_key).ravel()
-        for key, size in zip(keys.tolist(), sizes[seen].tolist()):
-            tally[key] = tally.get(key, 0) + size
+    n1 = model.order - 1
+    windows, sizes = _corpus_windows(corpus, model.vocab, model.order)
+    # First seen first, the windows insert contexts and, within each, tokens
+    # in the order a window-by-window pass would.
+    contexts = list(zip(*windows[:, :n1].T.tolist())) if n1 else [()] * len(sizes)
+    pairs = zip(contexts, windows[:, n1].tolist())
     counts = model.counts
-    # At weight 1 an empty model gets whole counts, at most one per window, so
-    # its totals stay far below the largest float. Any other call checks each
-    # context it touched, as a model's own counts may hold a total near it.
-    checked = weight != 1.0 or bool(counts)
-    for window, n in zip(map(struct.Struct(f"<{order}I").unpack, tally), tally.values()):
-        ctx, tok = window[:-1], window[-1]
-        per_tok = counts.get(ctx)
-        if per_tok is None:
-            per_tok = counts[ctx] = {}
+    # At weight 1 each window is new to an empty model, so its count is its
+    # size, and no total comes near the largest float.
+    if weight == 1.0 and not counts:
+        for (ctx, tok), n in zip(pairs, sizes.astype(np.float64).tolist()):
+            counts.setdefault(ctx, {})[tok] = n
+        return
+    for (ctx, tok), n in zip(pairs, sizes.tolist()):
+        per_tok = counts.setdefault(ctx, {})
         count = float(per_tok.get(tok, 0.0))  # a model may be given int counts
         if weight == 1.0 and count.is_integer() and count + n <= _EXACT_INT:
             count += n
@@ -338,13 +348,12 @@ def _accumulate(model: NGramModel, corpus: Corpus, weight: float) -> None:
             for _ in range(n):
                 count += weight
         per_tok[tok] = count
-    if checked:
-        k_total = model.k * model.vocab.size
-        contexts = dict.fromkeys(key[:4 * n1] for key in tally)
-        for ctx in map(struct.Struct(f"<{n1}I").unpack, contexts):
-            if not _total_is_finite(k_total, counts[ctx]):
-                raise ValueError(f"context {ctx}'s counts plus k per vocabulary id sum past "
-                                 f"the largest float")
+    # A model's own counts may hold a total near the largest float.
+    k_total = model.k * model.vocab.size
+    for ctx in dict.fromkeys(contexts):
+        if not _total_is_finite(k_total, counts[ctx]):
+            raise ValueError(f"context {ctx}'s counts plus k per vocabulary id sum past "
+                             f"the largest float")
 
 
 def pretrain(corpus: Corpus, order: int, k: float = 0.5,
@@ -357,7 +366,7 @@ def pretrain(corpus: Corpus, order: int, k: float = 0.5,
     if len(corpus) == 0:
         raise ValueError("pretrain requires a non-empty corpus")
     if vocab is None:
-        vocab = build_vocab(_corpus_text(corpus))
+        vocab = build_vocab(text for record in corpus.records for text in record)
     model = NGramModel(order, k, vocab, {}, provenance)
     _accumulate(model, corpus, 1.0)
     return model
@@ -404,14 +413,9 @@ def save_model(model: NGramModel, path) -> None:
     sorted lexicographically by ids."""
     if "\n" in model.provenance or "\r" in model.provenance:
         raise ValueError("provenance must not contain newlines")
-    lines = [
-        f"version={MODEL_FORMAT_VERSION}",
-        f"order={model.order}",
-        f"k={model.k!r}",
-        f"provenance={model.provenance}",
-        f"vocab={model.vocab.size}",
-    ]
-    lines.extend(vocab_lines(model.vocab))
+    lines = [f"version={MODEL_FORMAT_VERSION}", f"order={model.order}", f"k={model.k!r}",
+             f"provenance={model.provenance}", f"vocab={model.vocab.size}",
+             *vocab_lines(model.vocab)]
     # Every context has order - 1 ids, so sorting contexts, then the tokens
     # within each, gives the lexicographic order of (ctx..., tok). A context
     # with one token needs no sort; most of a large model's contexts have one.
@@ -577,10 +581,7 @@ def load_corpus(path) -> Corpus:
     """Read the corpus TSV: leading '#key=value' header lines, then one record
     per line as 'source<TAB>target'."""
     lines = read_lines(path)
-    langs = None
-    meta: dict[str, str] = {}
-    records = []
-    in_header = True
+    langs, meta, records, in_header = None, {}, [], True
     for ln, line in enumerate(lines, start=1):
         if in_header and line.startswith("#"):
             body = line[1:]
@@ -635,8 +636,7 @@ def truncate_corpus(corpus: Corpus, max_tokens: int) -> Corpus:
     exactly on the budget; a cut that would leave it empty drops the record."""
     if max_tokens <= 0:
         raise ValueError("token budget must be > 0")
-    kept = []
-    used = 0
+    kept, used = [], 0
     for prompt, completion in corpus.records:
         need = len(prompt) + len(completion)
         if used + need <= max_tokens:

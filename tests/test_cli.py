@@ -16,7 +16,7 @@ import specdesk
 from specdesk import (Corpus, DistillJob, NGramModel, SpecConfig, finetune, load_corpus,
                       load_model, save_corpus, save_model, specdec)
 from specdesk.cli import EXIT_INTERNAL, build_parser, main
-from specdesk.core import build_vocab, vocab_lines
+from specdesk.core import build_vocab, load_vocab, vocab_lines
 
 import synth
 
@@ -202,8 +202,9 @@ class TestExitCodes:
         assert main(["train", "pretrain", "--corpus", str(ws / "de.tsv"), "--order", "2",
                      "--k", "1e308", "--out", str(out)]) == 6
         assert not out.exists()
-        assert re.fullmatch(r"error: invalid: smoothing k = 1e\+308 times the vocabulary size "
-                            r"\d+ passes the largest float\n", capsys.readouterr().err)
+        assert re.fullmatch(r"error: invalid: --k \(config key k\): smoothing k = 1e\+308 times "
+                            r"the vocabulary size \d+ passes the largest float\n",
+                            capsys.readouterr().err)
 
     def test_version_mismatch_is_4_with_distinct_kind(self, ws):
         content = (ws / "target_de.model").read_text(encoding="utf-8")
@@ -502,13 +503,18 @@ class TestConfigKeys:
         (("train", "finetune"), "--weight", "0", "finetune weight must be finite and > 0, got 0.0"),
         (("train", "pretrain"), "--k", "0", "smoothing k must be finite and > 0, got 0.0"),
         (("train", "pretrain"), "--order", "0", "order must be between 1 and 64, got 0"),
+        # k * |V| passes the largest float; only the vocabulary, here
+        # shared.vocab, shows it.
+        (("train", "pretrain"), "--k", "1e308",
+         "smoothing k = 1e+308 times the vocabulary size {size} passes the largest float"),
     ], ids=["samples", "max-len", "max-tokens", "K-low", "K-high", "max-new", "T", "temps",
-            "weight", "k", "order"])
+            "weight", "k", "order", "k-times-vocab"])
     def test_out_of_range_value_names_its_flag_and_key(self, ws, capsys, command, flag, bad,
                                                        reason):
         pairs, extra = CONFIG_CASES[command]
         flags = {f: v[0] for f, v in pairs.items()}
         key = flag[2:].replace("-", "_")
+        reason = reason.format(size=load_vocab(ws / "shared.vocab").size)
         want = (6, "", f"error: invalid: {flag} (config key {key}): {reason}\n", None, None)
         assert _run_in(ws, capsys, command, {**flags, flag: bad}, extra) == want
         rest = {f: v for f, v in flags.items() if f != flag}
@@ -665,7 +671,7 @@ class TestBenchCommands:
         (ws / "grid_k0.cfg").write_text(text.replace("K = 3", "K = 0"), encoding="utf-8")
         proc = run_cli("bench", "grid", "--config", "grid_k0.cfg", "--out-dir", "outK0", cwd=ws)
         assert proc.returncode == 6, proc.stderr
-        assert proc.stderr.startswith("error: invalid: draft_len")
+        assert proc.stderr.startswith("error: invalid: [grid] K: draft_len")
         assert not (ws / "outK0" / "grid.csv").exists()
 
     def test_grid_jobs_below_one_is_6(self, ws, capsys, monkeypatch):
@@ -714,7 +720,8 @@ class TestBenchCommands:
                                              encoding="utf-8")
             code = main(["bench", "grid", "--config", "grid_bad.cfg", "--out-dir", "outGB"])
             assert code == 6, knob
-            assert capsys.readouterr().err == f"error: invalid: {message}\n"
+            key = knob.split(" = ")[0]
+            assert capsys.readouterr().err == f"error: invalid: [grid] {key}: {message}\n"
         (ws / "grid_bad.cfg").write_text("[grid]\ntarget = bad.model\nK = 3\n", encoding="utf-8")
         assert main(["bench", "grid", "--config", "grid_bad.cfg", "--out-dir", "outGB"]) == 4
         assert not (ws / "outGB").exists()
@@ -726,7 +733,8 @@ class TestBenchCommands:
             "eval = eval_de.tsv\nbudgets = 100\nseeds = 3,1,3\n", encoding="utf-8")
         monkeypatch.chdir(ws)
         assert main(["bench", "scaling", "--config", "scaling_rs.cfg", "--out-dir", "scRS"]) == 6
-        assert capsys.readouterr().err == "error: invalid: seeds must not repeat, got (3, 1, 3)\n"
+        assert capsys.readouterr().err == ("error: invalid: [scaling] seeds: seeds must not "
+                                           "repeat, got (3, 1, 3)\n")
         assert not (ws / "scRS").exists()
 
     def test_scaling_budgets_are_checked_before_any_file_is_read(self, ws, capsys, monkeypatch):
@@ -745,8 +753,41 @@ class TestBenchCommands:
             if message is None:  # valid budgets: the malformed target is read and rejected
                 assert code == 4 and err.startswith("error: format: bad.model:")
             else:
-                assert (code, err) == (6, f"error: invalid: {message}\n"), budgets
+                want = f"error: invalid: [scaling] budgets: {message}\n"
+                assert (code, err) == (6, want), budgets
         assert not (ws / "scB0").exists()
+
+    @pytest.mark.parametrize("section,key,bad,reason", [
+        ("grid", "K", "0", "draft_len must be between 1 and 1024, got 0"),
+        ("grid", "temps", "-0.5", "temperature must be finite and >= 0, got -0.5"),
+        ("grid", "temps", "0.7,0.7", "temperatures must not repeat, got (0.7, 0.7)"),
+        ("grid", "seeds", "2,0,2", "seeds must not repeat, got (2, 0, 2)"),
+        ("grid", "max_new", "0", "max_new_tokens must be >= 1"),
+        ("grid", "max_prompts", "0", "max_prompts must be >= 1 (or unset for all), got 0"),
+        ("grid", "cost_c", "-0.1", "cost ratio must be finite and >= 0, got -0.1"),
+        ("scaling", "K", "1025", "draft_len must be between 1 and 1024, got 1025"),
+        ("scaling", "temperature", "inf", "temperature must be finite and >= 0, got inf"),
+        ("scaling", "seeds", "1,1", "seeds must not repeat, got (1, 1)"),
+        ("scaling", "max_new", "-2", "max_new_tokens must be >= 1"),
+        ("scaling", "max_prompts", "-1", "max_prompts must be >= 1 (or unset for all), got -1"),
+        ("scaling", "cost_c", "nan", "cost ratio must be finite and >= 0, got nan"),
+        ("scaling", "weight", "0", "finetune weight must be finite and > 0, got 0.0"),
+        ("scaling", "budgets", "100,50", "token budgets must be strictly increasing"),
+    ])
+    def test_out_of_range_value_names_its_section_and_key(self, ws, capsys, monkeypatch,
+                                                          section, key, bad, reason):
+        # Every file the config names is malformed or absent, so a value
+        # checked only after a file is read would exit 3 or 4 instead.
+        (ws / "bad.model").write_text("not a model\n", encoding="utf-8")
+        required = {"grid": {"target": "bad.model"},
+                    "scaling": {"target": "bad.model", "drafter": "bad.model",
+                                "corpus": "absent.tsv", "eval": "absent.tsv", "budgets": "100"}}
+        lines = [f"{k} = {v}" for k, v in {**required[section], key: bad}.items()]
+        (ws / "bad.cfg").write_text("\n".join([f"[{section}]", *lines, ""]), encoding="utf-8")
+        monkeypatch.chdir(ws)
+        assert main(["bench", section, "--config", "bad.cfg", "--out-dir", "outBad"]) == 6
+        assert capsys.readouterr() == ("", f"error: invalid: [{section}] {key}: {reason}\n")
+        assert not (ws / "outBad").exists()
 
     def test_unknown_key_is_4(self, ws):
         text = self._grid_config(ws).read_text(encoding="utf-8")

@@ -490,6 +490,48 @@ class TestBulkCounting:
         for order in (1, 3, 6):
             assert_trains_like_reference(corpus, order, vocab, [(corpus, 0.3)])
 
+    # The cases below put one record in each group, so groups 2 and 3 are
+    # merged into group 1's windows.
+
+    def test_token_first_seen_in_a_later_group_follows_its_contexts_earlier_tokens(self):
+        vocab = build_vocab("abc")
+        a, b, c = map(vocab.lookup, "abc")
+        # Context (a,) is first seen in group 1, with b; it meets c only in group 3.
+        corpus = Corpus((("", "ab"), ("", "cc"), ("", "ac")))
+        with mock.patch.object(lm, "_CHUNK_CHARS", 1):
+            assert len(list(lm._record_groups(corpus))) == 3
+            assert list(pretrain(corpus, 2, vocab=vocab).counts[(a,)]) == [b, c]
+            assert_trains_like_reference(corpus, 2, vocab, [(corpus, 0.3), (corpus, 1.0)])
+
+    def test_context_seen_only_in_a_later_group(self):
+        vocab = build_vocab("abc")
+        c = vocab.lookup("c")
+        corpus = Corpus((("", "ab"), ("b", "a"), ("", "ac")))
+        with mock.patch.object(lm, "_CHUNK_CHARS", 1):
+            assert list(pretrain(corpus, 2, vocab=vocab).counts)[-1] == (c,)
+            assert_trains_like_reference(corpus, 2, vocab, [(corpus, 0.3), (corpus, 1.0)])
+
+    def test_order_one_over_several_groups(self):
+        # Every window's context is (); its tokens follow first sight.
+        vocab = build_vocab("abc")
+        corpus = Corpus((("", "ab"), ("", "c"), ("b", "a")))
+        with mock.patch.object(lm, "_CHUNK_CHARS", 1):
+            model = pretrain(corpus, 1, vocab=vocab)
+            assert list(model.counts) == [()]
+            assert list(model.counts[()]) == [*map(vocab.lookup, "ab"), EOS_ID, vocab.lookup("c")]
+            assert_trains_like_reference(corpus, 1, vocab, [(corpus, 0.3), (corpus, 1.0)])
+
+    def test_total_past_the_largest_float_that_only_a_later_group_touches_rejected(self):
+        m = aab_model()
+        before = {ctx: dict(d) for ctx, d in m.counts.items()}
+        # Group 1 touches (<bos>,) and (b,); only group 2 touches (a,).
+        corpus = Corpus((("", "b"), ("", "a" * 400)))
+        with mock.patch.object(lm, "_CHUNK_CHARS", 1), \
+                pytest.raises(ValueError, match=r"^context \(3,\)'s counts plus k per vocabulary "
+                                                r"id sum past the largest float$"):
+            finetune(m, corpus, weight=1e306)
+        assert m.counts == before
+
     def test_weight_one_on_a_fractional_count_steps_one_at_a_time(self):
         # 35 steps of += 1.0 from 5e-09 give 35.000000005000004, not
         # 5e-09 + 35, so a pair's tally is added at once only to whole counts.
