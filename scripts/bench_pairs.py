@@ -17,9 +17,11 @@ several invocations fill one file; any other key in it is kept. Each metric
 gets both sides' values, medians, the parent's interquartile range, the
 number of pairs the change wins and, where BENCHMARK.json gives a bound,
 whether the change's median stays within it. --claim adds the claim verdict:
-the change wins at least 9 of every 10 pairs and its median gain exceeds the
-parent's interquartile range (and, with --at-least, its median is at least
-that multiple of the parent's). Nothing under specbench/ is changed.
+every run is correct, the change fails no more operations than the parent,
+it wins at least 9 of every 10 pairs and its median gain exceeds the parent's
+interquartile range (and, with --at-least, its gain factor, change/parent
+median for a higher-better metric and parent/change for a lower-better one,
+is at least that). Nothing under specbench/ is changed.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-CLAIM_RULE = ("change wins at least 9 of 10 pairs and the median gain exceeds the parent's "
+CLAIM_RULE = ("every run is correct, the change fails no more operations than the parent, "
+              "the change wins at least 9 of 10 pairs and the median gain exceeds the parent's "
               "interquartile range")
 
 
@@ -64,19 +67,35 @@ def summarise(name: str, declared: dict, parent: list, change: list) -> dict:
     return row
 
 
-def claim(workload: str, seed: int, metric: str, row: dict, at_least) -> dict:
+def gain_factor(row: dict):
+    """How many times better the change's median is than the parent's, in the
+    metric's better direction: change/parent for a higher-better metric,
+    parent/change for a lower-better one."""
+    p_med, c_med = row["parent_median"], row["change_median"]
+    if not (p_med and c_med):
+        return None
+    return round(c_med / p_med if row["better"] == "higher" else p_med / c_med, 4)
+
+
+def claim(workload: str, seed: int, metric: str, row: dict, at_least, entry: dict) -> dict:
+    """The claim verdict on one metric's row of the runs summarised in entry.
+    It is met only if every run was correct, the change failed no more
+    operations than the parent, and the claim rule holds."""
     sign = 1.0 if row["better"] == "higher" else -1.0
     pairs = len(row["parent"])
     gain = sign * (row["change_median"] - row["parent_median"])
-    met = row["change_better_pairs"] >= math.ceil(0.9 * pairs) and gain > row["parent_iqr"]
+    factor = gain_factor(row)
+    met = (entry["all_correct"] and entry["failed"]["change"] <= entry["failed"]["parent"]
+           and row["change_better_pairs"] >= math.ceil(0.9 * pairs) and gain > row["parent_iqr"])
     if at_least is not None:
-        met = met and row["change_over_parent_median"] >= at_least
+        met = met and factor is not None and factor >= at_least
     return {"workload": workload, "workload_seed": seed, "metric": metric, "pairs": pairs,
             "change_wins": row["change_better_pairs"], "parent_median": row["parent_median"],
             "change_median": row["change_median"], "median_gain": gain,
             "parent_iqr": row["parent_iqr"],
             "change_over_parent_median": row["change_over_parent_median"],
-            "at_least": at_least, "met": met}
+            "gain_factor": factor, "at_least": at_least, "all_correct": entry["all_correct"],
+            "failed": entry["failed"], "met": met}
 
 
 def main(argv=None) -> int:
@@ -90,7 +109,8 @@ def main(argv=None) -> int:
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--claim", help="metric whose gain the change claims")
     parser.add_argument("--at-least", type=float, dest="at_least",
-                        help="least change/parent median ratio the claim needs")
+                        help="least gain factor the claim needs: change/parent median for a "
+                             "higher-better metric, parent/change for a lower-better one")
     parser.add_argument("--out", type=Path, required=True, help="JSON file to update")
     args = parser.parse_args(argv)
 
@@ -125,7 +145,7 @@ def main(argv=None) -> int:
                   if (c["workload"], c["workload_seed"], c["metric"])
                   != (args.workload, args.seed, args.claim)]
         claims.append(claim(args.workload, args.seed, args.claim, metrics[args.claim],
-                            args.at_least))
+                            args.at_least, entry))
         record["claims"] = claims
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     for name, row in metrics.items():

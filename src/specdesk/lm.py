@@ -39,8 +39,7 @@ from .core import (
 
 MODEL_FORMAT_VERSION = 1
 
-# The highest n-gram order a model may have, far above any useful character
-# model; training merges groups of records by each window's 4 * order bytes.
+# The highest n-gram order a model may have, far above any useful character model.
 MAX_ORDER = 64
 
 # next_dist results are memoized per model; contexts repeat heavily during
@@ -48,9 +47,9 @@ MAX_ORDER = 64
 _DIST_CACHE_LIMIT = 200_000
 
 # Training encodes, packs and sorts records in groups of about this many
-# characters. Only a group's distinct windows reach Python, so larger
-# groups pass fewer repeats, but the group's arrays, some tens of bytes per
-# character, grow with it.
+# characters, and merges held groups' distinct windows in batches of at least
+# this many rows. Larger groups keep fewer repeats, but a group's arrays, some
+# tens of bytes per character, grow with it.
 _CHUNK_CHARS = 65536
 
 # Below this, adding a whole number n to a whole-number float count is exact,
@@ -270,16 +269,15 @@ def _padded_stream(texts: list[str], vocab: Vocabulary, order: int) -> np.ndarra
     return stream
 
 
-def _distinct_windows(texts: list[str], vocab: Vocabulary, order: int) -> tuple[np.ndarray, ...]:
-    """The distinct windows of the texts' padded stream, first seen first, as
-    an (m, order) id array, and how often each occurs."""
-    stream = _padded_stream(texts, vocab, order)
-    bits, n1 = (vocab.size - 1).bit_length(), order - 1
-    # Window i is stream[i:i + order]. Its code packs its ids, bits apiece,
-    # then i in the low pos_bits, so codes sort like windows, and equal
-    # windows by position. A code with no room for the next field is
-    # replaced by its dense rank, which sorts alike in fewer bits.
-    n = len(stream) - n1
+def _distinct_rows(bits: int, rows: np.ndarray, sizes: Optional[np.ndarray] = None,
+                   keep: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of an (n, order) array of ids below 2 ** bits, first
+    seen first, and how often each occurs or, given sizes, the sum of its
+    rows' sizes. keep, if given, masks the rows that count."""
+    # Row i's code packs its ids, bits apiece, then i in the low pos_bits, so
+    # codes sort like rows, and equal rows by position. A code with no room for
+    # the next field is replaced by its dense rank, which sorts alike in fewer bits.
+    n, order = rows.shape
     pos_bits = (n - 1).bit_length()
     code, used = np.zeros(n, np.uint64), 0
     for j in range(order + 1):
@@ -287,38 +285,48 @@ def _distinct_windows(texts: list[str], vocab: Vocabulary, order: int) -> tuple[
         if used + width > 64:
             code, used = _dense_rank(code)
         code <<= width
-        code |= stream[j:j + n] if j < order else np.arange(n, dtype=np.uint64)
+        code |= rows[:, j] if j < order else np.arange(n, dtype=np.uint64)
         used += width
+    if keep is not None:
+        code = code[keep]
+    # Sorted, equal rows sit together, each run led by its first occurrence.
+    code.sort()
+    row = code >> pos_bits
+    starts = np.flatnonzero(np.r_[True, row[1:] != row[:-1]])
+    position = np.uint64((1 << pos_bits) - 1)
+    if sizes is None:
+        sizes = np.diff(starts, append=len(code))
+    else:
+        sizes = np.add.reduceat(sizes[(code & position).astype(np.intp)], starts)
+    first = (code[starts] & position).astype(np.intp)
+    seen = np.argsort(first)
+    return rows[first[seen]], sizes[seen]
+
+
+def _distinct_windows(texts: list[str], vocab: Vocabulary, order: int) -> tuple[np.ndarray, ...]:
+    """The distinct windows of the texts' padded stream, first seen first, as
+    an (m, order) id array, and how often each occurs."""
+    stream = _padded_stream(texts, vocab, order)
     # <bos> is no one-character token, so encoded text never holds it and
     # the windows that end on <bos> are exactly those that end on padding.
-    # Sorted, equal windows sit together, each run led by its first occurrence.
-    code = code[stream[n1:] != BOS_ID]
-    code.sort()
-    window = code >> pos_bits
-    starts = np.flatnonzero(np.r_[True, window[1:] != window[:-1]])
-    sizes = np.diff(starts, append=len(code))
-    first = (code[starts] & np.uint64((1 << pos_bits) - 1)).astype(np.intp)
-    seen = np.argsort(first)
-    return sliding_window_view(stream, order)[first[seen]], sizes[seen]
+    return _distinct_rows((vocab.size - 1).bit_length(), sliding_window_view(stream, order),
+                          keep=stream[order - 1:] != BOS_ID)
 
 
 def _corpus_windows(corpus: Corpus, vocab: Vocabulary, order: int) -> tuple[np.ndarray, ...]:
-    """_distinct_windows of the corpus, a group of records at a time. Several
-    groups are merged, each as it arrives, into a first-seen tally by window bytes."""
+    """_distinct_windows of the corpus, a group of records at a time. Later
+    groups are held, then merged into the windows so far by one sort, once
+    their rows reach the larger of _CHUNK_CHARS and the merged rows, and at
+    the end; the merged windows stay first seen first."""
     groups = (_distinct_windows(texts, vocab, order) for texts in _record_groups(corpus))
-    windows, sizes = next(groups, (np.zeros((0, order), "<u4"), np.zeros(0, np.int64)))
-    key = np.dtype((np.void, 4 * order))
-    tally: dict[bytes, int] = {}
-    for later in groups:
-        if not tally:
-            tally.update(zip(windows.view(key).ravel().tolist(), sizes.tolist()))
-        windows, sizes = later
-        for window, size in zip(windows.view(key).ravel().tolist(), sizes.tolist()):
-            tally[window] = tally.get(window, 0) + size
-    if not tally:
-        return windows, sizes
-    return (np.frombuffer(b"".join(tally), "<u4").reshape(-1, order),
-            np.fromiter(tally.values(), np.int64, len(tally)))
+    bits = (vocab.size - 1).bit_length()
+    held, rows = [next(groups, (np.zeros((0, order), "<u4"), np.zeros(0, np.int64)))], 0
+    for group in groups:
+        held.append(group)
+        rows += len(group[1])
+        if rows >= max(_CHUNK_CHARS, len(held[0][1])):
+            held, rows = [_distinct_rows(bits, *map(np.concatenate, zip(*held)))], 0
+    return _distinct_rows(bits, *map(np.concatenate, zip(*held))) if len(held) > 1 else held[0]
 
 
 def _accumulate(model: NGramModel, corpus: Corpus, weight: float) -> None:
@@ -340,7 +348,9 @@ def _accumulate(model: NGramModel, corpus: Corpus, weight: float) -> None:
             counts.setdefault(ctx, {})[tok] = n
         return
     for (ctx, tok), n in zip(pairs, sizes.tolist()):
-        per_tok = counts.setdefault(ctx, {})
+        per_tok = counts.get(ctx)
+        if per_tok is None:
+            per_tok = counts[ctx] = {}
         count = float(per_tok.get(tok, 0.0))  # a model may be given int counts
         if weight == 1.0 and count.is_integer() and count + n <= _EXACT_INT:
             count += n

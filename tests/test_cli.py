@@ -707,72 +707,30 @@ class TestBenchCommands:
                                                "invalid literal for int() with base 10: 'x'\n")
         assert not (ws / "scBx").exists()
 
-    def test_grid_knobs_are_checked_before_any_file_is_read(self, ws, capsys, monkeypatch):
-        (ws / "bad.model").write_text("not a model\n", encoding="utf-8")
-        monkeypatch.chdir(ws)
-        for knob, message in (("K = 0", "draft_len must be between 1 and 1024, got 0"),
-                              ("max_new = 0", "max_new_tokens must be >= 1"),
-                              ("temps = 0.0,-1", "temperature must be finite and >= 0, got -1.0"),
-                              ("seeds = 1,1", "seeds must not repeat, got (1, 1)"),
-                              ("temps = 0.0,0.0",
-                               "temperatures must not repeat, got (0.0, 0.0)")):
-            (ws / "grid_bad.cfg").write_text(f"[grid]\ntarget = bad.model\n{knob}\n",
-                                             encoding="utf-8")
-            code = main(["bench", "grid", "--config", "grid_bad.cfg", "--out-dir", "outGB"])
-            assert code == 6, knob
-            key = knob.split(" = ")[0]
-            assert capsys.readouterr().err == f"error: invalid: [grid] {key}: {message}\n"
-        (ws / "grid_bad.cfg").write_text("[grid]\ntarget = bad.model\nK = 3\n", encoding="utf-8")
-        assert main(["bench", "grid", "--config", "grid_bad.cfg", "--out-dir", "outGB"]) == 4
-        assert not (ws / "outGB").exists()
-
-    def test_scaling_repeated_seed_is_6_before_any_file_is_read(self, ws, capsys, monkeypatch):
-        (ws / "bad.model").write_text("not a model\n", encoding="utf-8")
-        (ws / "scaling_rs.cfg").write_text(
-            "[scaling]\ntarget = bad.model\ndrafter = base.model\ncorpus = de.tsv\n"
-            "eval = eval_de.tsv\nbudgets = 100\nseeds = 3,1,3\n", encoding="utf-8")
-        monkeypatch.chdir(ws)
-        assert main(["bench", "scaling", "--config", "scaling_rs.cfg", "--out-dir", "scRS"]) == 6
-        assert capsys.readouterr().err == ("error: invalid: [scaling] seeds: seeds must not "
-                                           "repeat, got (3, 1, 3)\n")
-        assert not (ws / "scRS").exists()
-
-    def test_scaling_budgets_are_checked_before_any_file_is_read(self, ws, capsys, monkeypatch):
-        (ws / "bad.model").write_text("not a model\n", encoding="utf-8")
-        monkeypatch.chdir(ws)
-        for budgets, message in (("0", "token budgets must be > 0"),
-                                 ("100,-5", "token budgets must be > 0"),
-                                 ("100,100", "token budgets must be strictly increasing"),
-                                 ("400,100", "token budgets must be strictly increasing"),
-                                 ("100", None)):
-            (ws / "scaling_b0.cfg").write_text(
-                "[scaling]\ntarget = bad.model\ndrafter = base.model\ncorpus = de.tsv\n"
-                f"eval = eval_de.tsv\nbudgets = {budgets}\n", encoding="utf-8")
-            code = main(["bench", "scaling", "--config", "scaling_b0.cfg", "--out-dir", "scB0"])
-            err = capsys.readouterr().err
-            if message is None:  # valid budgets: the malformed target is read and rejected
-                assert code == 4 and err.startswith("error: format: bad.model:")
-            else:
-                want = f"error: invalid: [scaling] budgets: {message}\n"
-                assert (code, err) == (6, want), budgets
-        assert not (ws / "scB0").exists()
-
     @pytest.mark.parametrize("section,key,bad,reason", [
         ("grid", "K", "0", "draft_len must be between 1 and 1024, got 0"),
         ("grid", "temps", "-0.5", "temperature must be finite and >= 0, got -0.5"),
+        ("grid", "temps", "0.0,-1", "temperature must be finite and >= 0, got -1.0"),
         ("grid", "temps", "0.7,0.7", "temperatures must not repeat, got (0.7, 0.7)"),
+        ("grid", "temps", "0.0,0.0", "temperatures must not repeat, got (0.0, 0.0)"),
         ("grid", "seeds", "2,0,2", "seeds must not repeat, got (2, 0, 2)"),
+        ("grid", "seeds", "1,1", "seeds must not repeat, got (1, 1)"),
         ("grid", "max_new", "0", "max_new_tokens must be >= 1"),
         ("grid", "max_prompts", "0", "max_prompts must be >= 1 (or unset for all), got 0"),
         ("grid", "cost_c", "-0.1", "cost ratio must be finite and >= 0, got -0.1"),
         ("scaling", "K", "1025", "draft_len must be between 1 and 1024, got 1025"),
         ("scaling", "temperature", "inf", "temperature must be finite and >= 0, got inf"),
         ("scaling", "seeds", "1,1", "seeds must not repeat, got (1, 1)"),
+        ("scaling", "seeds", "3,1,3", "seeds must not repeat, got (3, 1, 3)"),
         ("scaling", "max_new", "-2", "max_new_tokens must be >= 1"),
         ("scaling", "max_prompts", "-1", "max_prompts must be >= 1 (or unset for all), got -1"),
         ("scaling", "cost_c", "nan", "cost ratio must be finite and >= 0, got nan"),
         ("scaling", "weight", "0", "finetune weight must be finite and > 0, got 0.0"),
         ("scaling", "budgets", "100,50", "token budgets must be strictly increasing"),
+        ("scaling", "budgets", "0", "token budgets must be > 0"),
+        ("scaling", "budgets", "100,-5", "token budgets must be > 0"),
+        ("scaling", "budgets", "100,100", "token budgets must be strictly increasing"),
+        ("scaling", "budgets", "400,100", "token budgets must be strictly increasing"),
     ])
     def test_out_of_range_value_names_its_section_and_key(self, ws, capsys, monkeypatch,
                                                           section, key, bad, reason):
@@ -788,6 +746,19 @@ class TestBenchCommands:
         assert main(["bench", section, "--config", "bad.cfg", "--out-dir", "outBad"]) == 6
         assert capsys.readouterr() == ("", f"error: invalid: [{section}] {key}: {reason}\n")
         assert not (ws / "outBad").exists()
+
+    def test_valid_values_reach_the_malformed_target(self, ws, capsys, monkeypatch):
+        # The controls of the test above: with every value valid, the
+        # malformed target is read and rejected.
+        (ws / "bad.model").write_text("not a model\n", encoding="utf-8")
+        monkeypatch.chdir(ws)
+        for section, lines in (("grid", "target = bad.model\nK = 3\n"),
+                               ("scaling", "target = bad.model\ndrafter = base.model\n"
+                                           "corpus = de.tsv\neval = eval_de.tsv\nbudgets = 100\n")):
+            (ws / "good.cfg").write_text(f"[{section}]\n{lines}", encoding="utf-8")
+            assert main(["bench", section, "--config", "good.cfg", "--out-dir", "outGood"]) == 4
+            assert capsys.readouterr().err.startswith("error: format: bad.model:"), section
+        assert not (ws / "outGood").exists()
 
     def test_unknown_key_is_4(self, ws):
         text = self._grid_config(ws).read_text(encoding="utf-8")

@@ -5,6 +5,7 @@ import math
 import re
 import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -374,6 +375,29 @@ wide_record = st.tuples(wide_text, wide_text.filter(bool))
 WIDE_VOCAB = build_vocab(["ab" + "".join(map(chr, range(0x4E00, 0x4E00 + 5_000)))])
 
 
+@contextlib.contextmanager
+def recorded_merges():
+    """Record, for each merge of held groups that training makes, its rows
+    and the dense ranks it takes."""
+    merges, ranks = [], []
+    distinct_rows, dense_rank = lm._distinct_rows, lm._dense_rank
+
+    def ranking(codes):
+        ranks.append(len(codes))
+        return dense_rank(codes)
+
+    def recording(bits, rows, sizes=None, keep=None):
+        before = len(ranks)
+        result = distinct_rows(bits, rows, sizes, keep)
+        if sizes is not None:
+            merges.append((len(rows), len(ranks) - before))
+        return result
+
+    with mock.patch.object(lm, "_distinct_rows", recording), \
+            mock.patch.object(lm, "_dense_rank", ranking):
+        yield merges
+
+
 class TestCodePointTable:
     """encode_array builds a vocabulary's code-point table on its first call
     and reuses it; loading and decoding never build one."""
@@ -531,6 +555,67 @@ class TestBulkCounting:
                                                 r"id sum past the largest float$"):
             finetune(m, corpus, weight=1e306)
         assert m.counts == before
+
+    def test_merge_mid_corpus_followed_by_more_groups(self):
+        vocab = build_vocab("abc")
+        # Group 2's 3 rows reach group 1's 2, so both are merged into 5
+        # distinct windows; groups 3 and 4 (6 rows) are merged into those,
+        # and group 5 at the end.
+        corpus = Corpus((("", "a"), ("", "bc"), ("", "ab"), ("", "ca"), ("", "b")))
+        with mock.patch.object(lm, "_CHUNK_CHARS", 1):
+            with recorded_merges() as merges:
+                pretrain(corpus, 2, vocab=vocab)
+            assert [rows for rows, _ in merges] == [5, 11, 11]
+            assert_trains_like_reference(corpus, 2, vocab, [(corpus, 0.3), (corpus, 1.0)])
+
+    def test_window_first_seen_in_a_group_that_waits_for_a_later_merge(self):
+        vocab = build_vocab("abc")
+        a, b, c = map(vocab.lookup, "abc")
+        # Group 2 (2 rows) waits for group 3 (3 rows) to reach group 1's 4;
+        # (<bos>, c) is first seen in group 2 and seen again in group 3.
+        corpus = Corpus((("", "abc"), ("", "c"), ("", "cc"), ("", "b")))
+        with mock.patch.object(lm, "_CHUNK_CHARS", 1):
+            with recorded_merges() as merges:
+                model = pretrain(corpus, 2, vocab=vocab)
+            assert [rows for rows, _ in merges] == [9, 8]
+            assert list(model.counts) == [(BOS_ID,), (a,), (b,), (c,)]
+            assert list(model.counts[(BOS_ID,)].items()) == [(a, 1.0), (c, 2.0), (b, 1.0)]
+            assert list(model.counts[(c,)].items()) == [(EOS_ID, 3.0), (c, 1.0)]
+            assert_trains_like_reference(corpus, 2, vocab, [(corpus, 0.3), (corpus, 1.0)])
+
+    def test_dense_ranked_codes_cross_a_merge(self):
+        # 64 ids of 13 bits take more than 64 bits, so every merge packs
+        # dense ranks.
+        chars = WIDE_CHARS[:-1]
+        texts = ["".join(chars[(i * i + 3 * j) % len(chars)] for j in range(i % 11 + 5))
+                 for i in range(30)]
+        corpus = Corpus(tuple((texts[i], texts[(i * 7) % 30]) for i in range(30)))
+        with mock.patch.object(lm, "_CHUNK_CHARS", 40):
+            with recorded_merges() as merges:
+                pretrain(corpus, lm.MAX_ORDER, vocab=WIDE_VOCAB)
+            assert len(merges) >= 2 and all(ranks for _, ranks in merges)
+            assert_trains_like_reference(corpus, lm.MAX_ORDER, WIDE_VOCAB, [(corpus, 0.3)])
+
+    def test_memory_does_not_grow_with_the_number_of_groups(self):
+        # Each copy of the records is one group; the windows held between
+        # merges stay bounded however many groups follow.
+        letters = "abcdefghijklmnopqrstuvwxyz"
+        vocab = build_vocab(letters)
+        rng = np.random.default_rng(0)
+        records = tuple(("", "".join(rng.choice(list(letters), 50))) for _ in range(80))
+        peaks = []
+        pretrain(Corpus(records), 4, vocab=vocab)  # builds the code-point table
+        with mock.patch.object(lm, "_CHUNK_CHARS", 4000):
+            for copies in (8, 32, 128):
+                corpus = Corpus(records * copies)
+                assert len(list(lm._record_groups(corpus))) == copies
+                tracemalloc.start()
+                try:
+                    pretrain(corpus, 4, vocab=vocab)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+        assert max(peaks) <= 1.2 * peaks[0], peaks
 
     def test_weight_one_on_a_fractional_count_steps_one_at_a_time(self):
         # 35 steps of += 1.0 from 5e-09 give 35.000000005000004, not
