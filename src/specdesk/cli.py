@@ -206,13 +206,9 @@ def _training_corpus(args) -> Corpus:
 
 
 def cmd_vocab_build(args) -> int:
-    chunks = []
-    for path in args.corpus:
-        corpus = load_corpus(path)
-        for prompt, completion in corpus:
-            chunks.append(prompt)
-            chunks.append(completion)
-    vocab = build_vocab(chunks)
+    # One corpus is read at a time; a malformed one raises before anything is written.
+    vocab = build_vocab(text for path in args.corpus for record in load_corpus(path)
+                        for text in record)
     save_vocab(vocab, args.out)
     _note(f"wrote {args.out} ({vocab.size} tokens)")
     return EXIT_OK

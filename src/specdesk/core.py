@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
 from pathlib import Path
-from typing import Iterable, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -43,6 +43,16 @@ _TEMPERATURES_KEPT = 8
 TokenSequence = list[int]
 
 _SEED_MASK = 0xFFFF_FFFF_FFFF_FFFF
+
+# build_vocab reads text, and training encodes, packs and sorts records, in
+# groups of about this many characters; training also merges held groups'
+# distinct windows in batches of at least this many rows. Larger groups keep
+# fewer repeats, but a group's arrays, some tens of bytes per character for
+# training, grow with it.
+_CHUNK_CHARS = 65536
+
+# build_vocab's table entry for a code point no group has held yet.
+_UNSEEN = 0xFFFF_FFFF
 
 
 class FormatError(ValueError):
@@ -137,15 +147,57 @@ def build_vocab(corpus: Union[str, Iterable[str]]) -> Vocabulary:
     """Vocabulary over every distinct scalar value in the text, appearance order.
 
     ``corpus`` is a string or an iterable of string chunks; an empty corpus
-    yields just the three reserved tokens.
-    """
+    yields just the three reserved tokens. The text is read by code point, a
+    group of _CHUNK_CHARS characters at a time, through one table of 4 bytes
+    per code point up to the largest read: 0 for a point an earlier group
+    holds, _UNSEEN for one no group has held, and, while a group is read,
+    each new point's first place in it plus one."""
+    first = np.zeros(0, dtype="<u4")
+    places = np.arange(1, _CHUNK_CHARS + 1, dtype="<u4")
+    points = []
+    for group in _text_groups(corpus):
+        codes = _code_points(group)
+        top = int(codes.max()) + 1
+        if top > len(first):
+            first = np.concatenate((first, np.full(top - len(first), _UNSEEN, dtype="<u4")))
+        np.minimum.at(first, codes, places[:len(codes)])
+        # Only a point new in this group holds a place, from 1 to len(codes).
+        new = np.flatnonzero(first - np.uint32(1) < len(codes))
+        new = new[np.argsort(first[new], kind="stable")]
+        first[new] = 0
+        points.append(new.astype("<u4").tobytes())
+        # Let go of this group's text and code points before the next is read.
+        del group, codes
+    tokens = b"".join(points).decode("utf-32-le", "surrogatepass")
+    return Vocabulary(RESERVED_TOKENS + tuple(tokens))
+
+
+def _text_groups(corpus: Union[str, Iterable[str]]) -> Iterator[str]:
+    """The corpus's text, a string or its chunks joined, in groups of
+    _CHUNK_CHARS characters, the last of which may hold fewer. A chunk is cut
+    where a group ends, so no group holds more, however the text is split."""
     chunks = (corpus,) if isinstance(corpus, str) else corpus
-    seen: dict[str, None] = {}
+    limit = _CHUNK_CHARS
+    group, size = [], 0
     for chunk in chunks:
-        for ch in chunk:
-            if ch not in seen:
-                seen[ch] = None
-    return Vocabulary(RESERVED_TOKENS + tuple(seen))
+        start = 0
+        while size + len(chunk) - start >= limit:
+            end = start + limit - size
+            group.append(chunk[start:end])
+            yield "".join(group)
+            group, size, start = [], 0, end
+        if start:
+            chunk = chunk[start:]
+        group.append(chunk)
+        size += len(chunk)
+    if size:
+        yield "".join(group)
+
+
+def _code_points(text: str) -> np.ndarray:
+    """Each scalar value of text, lone surrogates included, as one UTF-32
+    code unit of a ``<u4`` array."""
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
 
 
 def encode(text: str, vocab: Vocabulary) -> TokenSequence:
@@ -169,8 +221,7 @@ def encode_array(text: str, vocab: Vocabulary) -> np.ndarray:
         table = np.full(max(points, default=-1) + 2, UNK_ID, dtype="<u4")
         table[points] = np.arange(3, vocab.size, dtype="<u4")
         object.__setattr__(vocab, "_code_ids", table)
-    codes = np.frombuffer(text.encode("utf-32-le", "surrogatepass"), dtype="<u4")
-    return table.take(codes, mode="clip")
+    return table.take(_code_points(text), mode="clip")
 
 
 def decode_tokens(ids: Iterable[int], vocab: Vocabulary) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import copy
 import string
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import (DISTILL_STREAM, SamplerConfig, check_temperature, decode_tokens, derive_seed,
                    encode)
@@ -51,21 +51,33 @@ def make_prompt(task: tuple[str, str], source_text: str, wrapper: Optional[str] 
     'Translate French to English: <source_text>'. A wrapper template with a
     '{prompt}' placeholder can add surrounding chat scaffolding; the default
     is no wrapper, and a template check_wrapper rejects raises ValueError."""
+    return _prompt_maker(task, wrapper)(source_text)
+
+
+def _prompt_maker(task: tuple[str, str], wrapper: Optional[str]) -> Callable[[str], str]:
+    """make_prompt(task, ., wrapper) for every source text, with the tags
+    looked up and the wrapper checked once, in make_prompt's order."""
     src, tgt = task
     try:
         src_name = LANGUAGE_NAMES[src]
         tgt_name = LANGUAGE_NAMES[tgt]
     except KeyError as exc:
         raise ValueError(f"unknown language tag {exc.args[0]!r}") from None
-    prompt = f"Translate {src_name} to {tgt_name}: {source_text}"
-    return check_wrapper(wrapper).format(prompt=prompt) if wrapper else prompt
+    head = f"Translate {src_name} to {tgt_name}: "
+    if check_wrapper(wrapper):
+        return lambda source_text: wrapper.format(prompt=head + source_text)
+    return head.__add__
 
 
 def with_task_prompts(corpus: Corpus, wrapper: Optional[str] = None) -> Corpus:
-    """Copy of the corpus with every prompt replaced by its instruction form."""
+    """Copy of the corpus with every prompt replaced by its instruction form.
+    An unknown tag or a bad wrapper raises only if there is a record to wrap."""
     if corpus.langs is None:
         raise ValueError("corpus has no language tags to build prompts from")
-    records = tuple((make_prompt(corpus.langs, p, wrapper), c) for p, c in corpus.records)
+    records = corpus.records
+    if records:
+        prompt_for = _prompt_maker(corpus.langs, wrapper)
+        records = tuple((prompt_for(p), c) for p, c in records)
     return Corpus(records, corpus.langs, dict(corpus.meta))
 
 
@@ -124,9 +136,10 @@ def self_distill(job: DistillJob, skip_empty: bool = False) -> Corpus:
     # memoises are freed on return instead of living as long as the target.
     target = copy.copy(job.target)
     schedule = _effective_schedule(job)
+    prompt_for = _prompt_maker(job.prompts.langs, job.wrapper)
     records = []
     for pi, (source_text, _) in enumerate(job.prompts.records):
-        prompt_text = make_prompt(job.prompts.langs, source_text, job.wrapper)
+        prompt_text = prompt_for(source_text)
         prompt_ids = encode(prompt_text, vocab)
         for ti, (temperature, n_samples) in enumerate(schedule):
             for si in range(n_samples):

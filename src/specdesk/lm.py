@@ -9,6 +9,7 @@ and a finetuned model is bit-reproducible from its inputs.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import islice, repeat
 from typing import Iterator, Optional
@@ -25,6 +26,7 @@ from .core import (
     SamplerConfig,
     TokenSequence,
     Vocabulary,
+    _CHUNK_CHARS,
     _Uniforms,
     apply_temperature,
     build_vocab,
@@ -45,12 +47,6 @@ MAX_ORDER = 64
 # next_dist results are memoized per model; contexts repeat heavily during
 # generation, and models never change after training.
 _DIST_CACHE_LIMIT = 200_000
-
-# Training encodes, packs and sorts records in groups of about this many
-# characters, and merges held groups' distinct windows in batches of at least
-# this many rows. Larger groups keep fewer repeats, but a group's arrays, some
-# tens of bytes per character, grow with it.
-_CHUNK_CHARS = 65536
 
 # Below this, adding a whole number n to a whole-number float count is exact,
 # and so equals n steps of += 1.0.
@@ -120,8 +116,13 @@ class Corpus:
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple((p, c) for p, c in self.records))
-        if self.langs is not None:
-            object.__setattr__(self, "langs", (self.langs[0], self.langs[1]))
+        langs = self.langs
+        if langs is not None:
+            if (isinstance(langs, str) or not isinstance(langs, Sequence) or len(langs) != 2
+                    or not all(isinstance(tag, str) for tag in langs)):
+                raise ValueError(f"corpus langs must be None or a pair of language tags, "
+                                 f"got {langs!r}")
+            object.__setattr__(self, "langs", tuple(langs))
 
     def __len__(self) -> int:
         return len(self.records)

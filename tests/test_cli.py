@@ -282,6 +282,14 @@ class TestExitCodes:
         assert proc.returncode == 4
         assert not (ws / "multi.model").exists()
 
+    def test_vocab_build_with_a_malformed_later_corpus_is_4_and_writes_nothing(self, ws):
+        (ws / "bad.tsv").write_text("Hallo\thello\nno tab here\n", encoding="utf-8")
+        proc = run_cli("vocab", "build", "--corpus", "de.tsv", "--corpus", "bad.tsv",
+                       "--out", "later.vocab", cwd=ws)
+        assert proc.returncode == 4
+        assert "bad.tsv: line 2: expected exactly one tab" in proc.stderr
+        assert not (ws / "later.vocab").exists()
+
     # One command per kind of input file, each reading bad.bin.
     NON_UTF8_READS = {
         "corpus": ["vocab", "build", "--corpus", "bad.bin", "--out", "bad.out"],

@@ -1,5 +1,7 @@
 import threading
+import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -24,9 +26,12 @@ from specdesk import (
     sample,
     save_vocab,
 )
+from specdesk import core
 from specdesk.core import (_TEMPERATURES_KEPT, _UNIFORM_BLOCK, ACCEPT_STREAM, DRAFT_STREAM,
                            GENERATE_STREAM, RESERVED_TOKENS, _one_hot, _Uniforms, encode_array,
                            read_lines, read_sections, write_lines)
+
+import synth
 
 
 class FixedUniforms:
@@ -228,6 +233,92 @@ class TestEncodeDecodeDefinitions:
         vocab = build_vocab("abc")
         ids = [BOS_ID, 3, UNK_ID, 5, EOS_ID]
         assert decode_tokens(np.array(ids), vocab) == decode_tokens(ids, vocab) == "ac"
+
+
+def reference_build_vocab(corpus):
+    """build_vocab's definition: the reserved tokens, then each character of
+    the text the first time it appears."""
+    seen = {}
+    for chunk in (corpus,) if isinstance(corpus, str) else corpus:
+        for ch in chunk:
+            if ch not in seen:
+                seen[ch] = None
+    return Vocabulary(RESERVED_TOKENS + tuple(seen))
+
+
+# Latin, Cyrillic, han, supplementary-plane characters up to the last code
+# point, lone surrogates next to each other and a newline.
+VOCAB_CHARS = ["a", "b", "z", "é", "ж", "я", "日", "本", chr(0x20000), chr(0x1F600),
+               chr(0xD83D), chr(0xDE00), chr(0xDFFF), chr(0x10FFFF), "\n"]
+VOCAB_TEXT = st.text(alphabet=st.sampled_from(VOCAB_CHARS), max_size=40)
+# A string or a list of chunks, empty ones among them.
+VOCAB_CORPORA = st.one_of(VOCAB_TEXT, st.lists(VOCAB_TEXT, max_size=8))
+
+
+def _cold_size_chunks():
+    """About 357,000 characters of German, Russian and English records, the
+    size of the benchmark's cold-desk corpus, as prompt and completion chunks."""
+    records = (synth.make_bitext(("de", "en"), 2600, seed=1).records
+               + synth.make_bitext(("ru", "en"), 2600, seed=2).records
+               + synth.general_corpus(1600, seed=3).records)
+    return [text for record in records for text in record]
+
+
+class TestBuildVocabDefinition:
+    """build_vocab reads code points a group at a time in bulk; its tokens
+    must equal the per-character definition however the text is split."""
+
+    # An iterator over a string yields one-character chunks.
+    @given(VOCAB_CORPORA, st.booleans())
+    def test_equals_its_definition(self, corpus, as_iterator):
+        got = build_vocab(iter(corpus) if as_iterator else corpus)
+        assert got.tokens == reference_build_vocab(corpus).tokens
+
+    @given(VOCAB_CORPORA, st.sampled_from([1, 2, 3, 7]))
+    def test_small_groups_equal_its_definition(self, corpus, chunk_chars):
+        text = "".join(corpus)
+        with mock.patch.object(core, "_CHUNK_CHARS", chunk_chars):
+            groups = list(core._text_groups(corpus))
+            got = build_vocab(iter(corpus))
+        assert "".join(groups) == text
+        assert all(len(g) == chunk_chars for g in groups[:-1])
+        assert 0 < len(groups[-1]) <= chunk_chars if groups else text == ""
+        assert got.tokens == reference_build_vocab(corpus).tokens
+
+    def test_first_appearances_in_later_groups_and_a_chunk_over_several(self):
+        chunks = ["ab", "", "ba" * 5 + "жa日", chr(0x10FFFF) + "b", "", "я" + chr(0xD800)]
+        with mock.patch.object(core, "_CHUNK_CHARS", 3):
+            assert [len(g) for g in core._text_groups(chunks)] == [3] * 6 + [1]
+            got = build_vocab(iter(chunks))
+        assert got.tokens == RESERVED_TOKENS + ("a", "b", "ж", "日", chr(0x10FFFF), "я",
+                                                chr(0xD800))
+
+    def test_peak_memory_stays_that_of_one_group(self):
+        chunks = _cold_size_chunks()
+        assert 340_000 < sum(map(len, chunks)) < 380_000
+        one_group, size = [], 0
+        for chunk in chunks:
+            if size + len(chunk) > core._CHUNK_CHARS:
+                break
+            one_group.append(chunk)
+            size += len(chunk)
+        text = "".join(chunks)
+        one_str = (text * (1_000_000 // len(text) + 1))[:1_000_000]
+        want = reference_build_vocab(chunks).tokens
+
+        def peak(corpus):
+            tracemalloc.start()
+            try:
+                tokens = build_vocab(corpus).tokens
+                return tracemalloc.get_traced_memory()[1], tokens
+            finally:
+                tracemalloc.stop()
+
+        group_peak, _ = peak(iter(one_group))
+        for corpus in (iter(chunks), iter(chunks * 10), one_str):
+            got_peak, tokens = peak(corpus)
+            assert tokens == want
+            assert got_peak <= 1.2 * group_peak, (got_peak, group_peak)
 
 
 class TestDistribution:

@@ -50,10 +50,25 @@ class TestMakePrompt:
     def test_empty_wrapper_is_no_wrapper(self):
         assert make_prompt(("de", "en"), "hallo", wrapper="") == make_prompt(("de", "en"), "hallo")
 
-    def test_with_task_prompts(self):
-        corpus = Corpus((("hallo", "hello"),), langs=("de", "en"))
-        out = with_task_prompts(corpus)
-        assert out.records == (("Translate German to English: hallo", "hello"),)
+    @pytest.mark.parametrize("wrapper, prompt", [
+        (None, "Translate German to English: hallo"),
+        ("", "Translate German to English: hallo"),
+        ("USER: {prompt} ASSISTANT: {prompt!r}", "USER: Translate German to English: hallo "
+                                                 "ASSISTANT: 'Translate German to English: hallo'"),
+    ])
+    def test_with_task_prompts(self, wrapper, prompt):
+        corpus = Corpus((("hallo", "hello"), ("{x}", "")), langs=("de", "en"), meta={"k": "v"})
+        out = with_task_prompts(corpus, wrapper)
+        assert out.records == ((prompt, "hello"), (make_prompt(("de", "en"), "{x}", wrapper), ""))
+        assert (out.langs, out.meta) == (("de", "en"), {"k": "v"})
+
+    @pytest.mark.parametrize("langs, wrapper", [(("xx", "en"), None), (("de", "en"), "{x}"),
+                                                (("de", "yy"), "no field")])
+    def test_with_task_prompts_raises_only_with_a_record_to_wrap(self, langs, wrapper):
+        with pytest.raises(ValueError):
+            with_task_prompts(Corpus((("a", "b"),), langs), wrapper)
+        out = with_task_prompts(Corpus((), langs, meta={"k": "v"}), wrapper)
+        assert (out.records, out.langs, out.meta) == ((), langs, {"k": "v"})
 
     def test_with_task_prompts_needs_langs(self):
         with pytest.raises(ValueError):

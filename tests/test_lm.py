@@ -1325,6 +1325,15 @@ class TestCorpusLoaderFuzz:
 
 
 class TestCorpusUtilities:
+    @pytest.mark.parametrize("langs", ["de", ("de", "en", "fr"), ("de",), ("de", 5), [b"de", "en"]])
+    def test_langs_other_than_a_pair_of_tags_rejected(self, langs):
+        with pytest.raises(ValueError, match=re.escape(repr(langs))):
+            Corpus((("a", "b"),), langs)
+
+    @pytest.mark.parametrize("langs", [None, ("de", "en"), ["de", "en"]])
+    def test_langs_pair_stored_as_tuple(self, langs):
+        assert Corpus((("a", "b"),), langs).langs == (None if langs is None else ("de", "en"))
+
     def test_token_count(self):
         assert Corpus((("ab", "cde"), ("", "f"))).token_count() == 6
 
